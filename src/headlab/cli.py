@@ -15,6 +15,7 @@ from .engines import (
     ENGINES,
     CompareReport,
     FuelExhausted,
+    InvalidFuelError,
     Normal,
     Stuck,
     UnknownEngineError,
@@ -196,10 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnknownEngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UnknownEngineError, InvalidFuelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -29,6 +29,7 @@ __all__ = [
     "Trace",
     "Engine",
     "UnknownEngineError",
+    "InvalidFuelError",
     "ENGINES",
     "WH_ENGINE_NAMES",
     "HEAD_ENGINE_NAMES",
@@ -44,12 +45,30 @@ __all__ = [
 
 DEFAULT_FUEL = 100000
 
-# Growth guards.  State size and depth are checked at beta boundaries, so
-# whether they fire depends only on the beta sequence, which engines of a
-# strategy share; work counts transitions plus state sizes and turns both
-# runaway term growth and quadratic lookup storms into FuelExhausted
-# instead of an out-of-memory or a very long sit.  Desk-scale runs that
-# reach a normal form stay far below all three.
+# Growth guards.  After every beta the driver asks the engine for the size
+# and depth of its state (Engine.metrics) and ends the run when either
+# passes its cap; work adds one per transition plus that size per beta and
+# ends the run past MAX_TOTAL_WORK.  Both turn runaway term growth and
+# quadratic lookup storms into FuelExhausted("work budget") instead of an
+# out-of-memory or a very long sit.  Desk-scale runs that reach a normal
+# form stay far below all three.
+#
+# Each engine measures its own state, so engines of one strategy can end
+# the same diverging run at different betas or for different reasons:
+# - wh-os and head-os measure the whole term;
+# - the substitution machines measure the term their state plugs back to
+#   (focus, stacked arguments and any binders passed), and their non-beta
+#   transitions add to work;
+# - head-os-derived and head-debruijn measure the body plus its binder
+#   prefix;
+# - the big-step engines charge only the node count of each contractum to
+#   their FuelMeter, with no size or depth cap;
+# - the environment machines report (1, 1), so only the work cap stops
+#   them;
+# - the control machines measure command size and no depth.
+# On the corpus krivine ends 36 runs on the beta budget and 21 on work,
+# wh-bigstep 49 and 8; head-proj 36 and 23, head-bigstep 50 and 9.  One
+# measure shared by every engine is item 4 of ROADMAP.md.
 MAX_STATE_NODES = 60_000
 MAX_STATE_DEPTH = 1_200
 MAX_TOTAL_WORK = 500_000
@@ -117,6 +136,10 @@ class Engine:
 
 
 class UnknownEngineError(ValueError):
+    pass
+
+
+class InvalidFuelError(ValueError):
     pass
 
 
@@ -545,12 +568,18 @@ def get_engine(name: str) -> Engine:
 
 
 def resolve_fuel(fuel: Optional[int]) -> int:
-    if fuel is not None:
-        return fuel
-    env = os.environ.get("HEADLAB_FUEL")
-    if env is not None:
-        return int(env)
-    return DEFAULT_FUEL
+    """The beta budget: `fuel`, else $HEADLAB_FUEL, else DEFAULT_FUEL."""
+    if fuel is None:
+        env = os.environ.get("HEADLAB_FUEL")
+        if env is None:
+            return DEFAULT_FUEL
+        try:
+            fuel = int(env)
+        except ValueError:
+            raise InvalidFuelError(f"HEADLAB_FUEL must be an integer, not {env!r}") from None
+    if fuel <= 0:
+        raise InvalidFuelError(f"fuel must be positive, not {fuel}")
+    return fuel
 
 
 def _render_capped(engine: Engine, state: object) -> str:
@@ -576,8 +605,6 @@ def evaluate(
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
-    if budget <= 0:
-        raise ValueError("fuel must be positive")
     tr = Trace(eng.name) if trace else None
 
     def emit(phase: str, rule: str, state: str) -> None:

@@ -6,13 +6,20 @@ safe to use from any number of threads.  Besides the pure constructors
 projections (Proj) and top-level binder indices (Index).  Substitution,
 alpha comparison and printing treat them as inert atoms; the parser never
 builds them, so user-supplied terms stay pure.
+
+Every node carries its node count and height (`size`, `height`), set when
+it is built, so `term_metrics` reads two fields instead of walking the
+tree.  App and Lam also keep a free-variable memo that `free_vars` fills
+on first use; it is an idempotent cache, so two threads that fill it at
+once only race to write equal values.  None of these cached fields takes
+part in `==`, `hash`, `repr` or pattern matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Optional, Union
 
 __all__ = [
     "Var",
@@ -38,21 +45,60 @@ __all__ = [
 ]
 
 
+def _cached():
+    """A field derived from the others: set by __init__, outside ==, hash and repr."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    size: ClassVar[int] = 1
+    height: ClassVar[int] = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class App:
     fun: "Term"
     arg: "Term"
+    size: int = _cached()
+    height: int = _cached()
+    _fv: Optional[frozenset[str]] = _cached()
+
+    def __init__(self, fun: "Term", arg: "Term") -> None:
+        _app_fun(self, fun)
+        _app_arg(self, arg)
+        _app_size(self, fun.size + arg.size + 1)
+        fun_height, arg_height = fun.height, arg.height
+        _app_height(self, (fun_height if fun_height > arg_height else arg_height) + 1)
+        _app_fv(self, None)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Lam:
     binder: str
     body: "Term"
+    size: int = _cached()
+    height: int = _cached()
+    _fv: Optional[frozenset[str]] = _cached()
+
+    def __init__(self, binder: str, body: "Term") -> None:
+        _lam_binder(self, binder)
+        _lam_body(self, body)
+        _lam_size(self, body.size + 1)
+        _lam_height(self, body.height + 1)
+        _lam_fv(self, None)
+
+
+# The slot setters of App and Lam.  Frozen dataclasses refuse attribute
+# assignment; the __init__ methods above write through the slot
+# descriptors instead, which is also cheaper than object.__setattr__.
+_app_fun, _app_arg, _app_size, _app_height, _app_fv = (
+    getattr(App, name).__set__ for name in ("fun", "arg", "size", "height", "_fv")
+)
+_lam_binder, _lam_body, _lam_size, _lam_height, _lam_fv = (
+    getattr(Lam, name).__set__ for name in ("binder", "body", "size", "height", "_fv")
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +110,8 @@ class Proj:
     """
 
     depth: int
+    size: ClassVar[int] = 1
+    height: ClassVar[int] = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,6 +123,8 @@ class Index:
     """
 
     value: int
+    size: ClassVar[int] = 1
+    height: ClassVar[int] = 1
 
 
 Term = Union[Var, App, Lam, Proj, Index]
@@ -107,9 +157,17 @@ def free_vars(t: Term) -> frozenset[str]:
         case Var(name):
             return frozenset((name,))
         case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
+            fv = t._fv
+            if fv is None:
+                fv = free_vars(fun) | free_vars(arg)
+                _app_fv(t, fv)
+            return fv
         case Lam(binder, body):
-            return free_vars(body) - {binder}
+            fv = t._fv
+            if fv is None:
+                fv = free_vars(body) - {binder}
+                _lam_fv(t, fv)
+            return fv
         case _:
             return frozenset()
 
@@ -142,6 +200,7 @@ def subst(t: Term, x: str, s: Term) -> Term:
 
     Bound variables are renamed only when an actual capture would occur,
     which keeps evaluation traces close to the input's own spelling.
+    Subterms in which x is not free are shared with t, not copied.
     """
     return _subst(t, x, s, free_vars(s))
 
@@ -151,11 +210,14 @@ def _subst(t: Term, x: str, s: Term, s_free: frozenset[str]) -> Term:
         case Var(name):
             return s if name == x else t
         case App(fun, arg):
+            if x not in free_vars(t):
+                return t
             return App(_subst(fun, x, s, s_free), _subst(arg, x, s, s_free))
         case Lam(binder, body):
-            if binder == x:
+            if x not in free_vars(t):
                 return t
-            if binder in s_free and x in free_vars(body):
+            # x is free in t, so binder != x and x is free in body.
+            if binder in s_free:
                 avoid = s_free | free_vars(body) | {x, binder}
                 renamed = fresh(avoid, binder)
                 body = _subst(body, binder, Var(renamed), frozenset((renamed,)))
@@ -251,21 +313,5 @@ def is_pure(t: Term) -> bool:
 
 
 def term_metrics(t: Term) -> tuple[int, int]:
-    """(node count, tree height) computed without recursion."""
-    size = 0
-    deepest = 0
-    todo: list[tuple[Term, int]] = [(t, 1)]
-    while todo:
-        node, depth = todo.pop()
-        size += 1
-        if depth > deepest:
-            deepest = depth
-        match node:
-            case App(fun, arg):
-                todo.append((fun, depth + 1))
-                todo.append((arg, depth + 1))
-            case Lam(_, body):
-                todo.append((body, depth + 1))
-            case _:
-                pass
-    return size, deepest
+    """(node count, tree height), read off the node."""
+    return t.size, t.height

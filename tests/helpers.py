@@ -7,10 +7,12 @@ that use these functions are actual cross-checks.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 from headlab.projection import TopTerm
-from headlab.syntax import App, Index, Lam, Term, Var
+from headlab.syntax import App, Index, Lam, Proj, Term, Var
 
 # ---------------------------------------------------------------------------
 # Nameless-term oracle for alpha-equivalence and substitution.
@@ -61,6 +63,32 @@ def db_free_names(skel) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# Reference measures: node count, height and free variables by a plain
+# recursive walk, with none of the fields that term nodes cache.
+
+
+def ref_measures(t: Term, out: list | None = None) -> tuple[int, int, frozenset[str]]:
+    """(size, height, free names) of t.  When `out` is given, every node
+    of t is appended to it in post-order as (node, size, height, free)."""
+    if isinstance(t, Var):
+        size, height, free = 1, 1, frozenset((t.name,))
+    elif isinstance(t, (Proj, Index)):
+        size, height, free = 1, 1, frozenset()
+    elif isinstance(t, App):
+        f_size, f_height, f_free = ref_measures(t.fun, out)
+        a_size, a_height, a_free = ref_measures(t.arg, out)
+        size, height, free = 1 + f_size + a_size, 1 + max(f_height, a_height), f_free | a_free
+    elif isinstance(t, Lam):
+        b_size, b_height, b_free = ref_measures(t.body, out)
+        size, height, free = 1 + b_size, 1 + b_height, b_free - {t.binder}
+    else:
+        raise TypeError(t)
+    if out is not None:
+        out.append((t, size, height, free))
+    return size, height, free
+
+
+# ---------------------------------------------------------------------------
 # Open-term material: peeling leading binders off a closed term exposes
 # its binder names as free variables, which gives realistic open terms
 # with capture opportunities.
@@ -96,3 +124,30 @@ def gen_top_term(rng: random.Random, binders: int, size: int) -> TopTerm:
         return App(go(scope, split), go(scope, budget - split))
 
     return TopTerm(binders, go((), size))
+
+
+# ---------------------------------------------------------------------------
+# Outcome fingerprint: what the growth guard decided on a corpus, in a form
+# small enough to commit.  `tests/golden_outcomes.json` holds the
+# fingerprint of every weak-head and head engine over the 1000-term corpus.
+
+
+def outcome_key(outcome) -> tuple[str, str, int | None]:
+    """(kind, reason, betas) of an Outcome; Stuck carries no beta count."""
+    kind = type(outcome).__name__
+    reason = getattr(outcome, "reason", "")
+    return kind, reason, getattr(outcome, "betas", None)
+
+
+def outcome_fingerprint(outcomes) -> dict:
+    keys = [outcome_key(o) for o in outcomes]
+    counts: dict[str, int] = {}
+    for kind, reason, _ in keys:
+        label = f"{kind}/{reason}"
+        counts[label] = counts.get(label, 0) + 1
+    digest = hashlib.sha256(json.dumps(keys).encode("utf-8")).hexdigest()
+    return {
+        "counts": dict(sorted(counts.items())),
+        "betas": sum(b for _, _, b in keys if b is not None),
+        "sha256": digest,
+    }

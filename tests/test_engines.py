@@ -2,12 +2,16 @@
 comparison, and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from headlab.cli import main
 from headlab.engines import (
+    HEAD_ENGINE_NAMES,
+    WH_ENGINE_NAMES,
     FuelExhausted,
+    InvalidFuelError,
     Normal,
     Stuck,
     UnknownEngineError,
@@ -20,6 +24,7 @@ from headlab.engines import (
 from headlab.gen import GenConfig, gen_term, gen_terms
 from headlab.parse import parse_term
 from headlab.syntax import Lam, alpha_eq, free_vars, term_metrics
+from helpers import outcome_fingerprint
 
 
 def T(src):
@@ -63,6 +68,13 @@ class TestEvaluate:
         monkeypatch.delenv("HEADLAB_FUEL")
         assert resolve_fuel(None) == 100000
 
+    @pytest.mark.parametrize("fuel, env", [(0, None), (-3, None), (None, "abc"), (None, "0")])
+    def test_invalid_fuel_is_rejected(self, monkeypatch, fuel, env):
+        if env is not None:
+            monkeypatch.setenv("HEADLAB_FUEL", env)
+        with pytest.raises(InvalidFuelError):
+            resolve_fuel(fuel)
+
     def test_trace_replays_through_step_function(self, corpus120):
         # Re-drive each engine's step function and confirm the recorded
         # reduce states are exactly the visited states.
@@ -100,6 +112,26 @@ class TestEvaluate:
                 assert trace.events
                 for event in trace.events:
                     assert isinstance(event.state, str) and event.state
+
+
+class TestGoldenOutcomes:
+    """Every weak-head and head engine ends each corpus run the way it did
+    when tests/golden_outcomes.json was written (by
+    tests/make_golden_outcomes.py): same kind, guard reason and beta count.
+    This pins the growth guard to fire at the same beta."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "golden_outcomes.json").read_text(encoding="utf-8"))
+
+    def test_engine_sets_match(self):
+        assert sorted(self.GOLDEN) == sorted(WH_ENGINE_NAMES + HEAD_ENGINE_NAMES)
+
+    @pytest.mark.parametrize("name", WH_ENGINE_NAMES)
+    def test_weak_head(self, wh_outcomes, name):
+        assert outcome_fingerprint(wh_outcomes[name]) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", HEAD_ENGINE_NAMES)
+    def test_head(self, head_outcomes, name):
+        assert outcome_fingerprint(head_outcomes[name]) == self.GOLDEN[name]
 
 
 class TestAdversarialNaming:
@@ -272,6 +304,24 @@ class TestCli:
         src.write_text("x")
         code = main(["eval", "--engine", "nope", str(src)])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [["eval", "--engine", "krivine"], ["compare"]])
+    def test_nonpositive_fuel_exit_code(self, command, tmp_path, capsys):
+        src = tmp_path / "x.lam"
+        src.write_text("x")
+        code = main([*command, "--fuel", "0", str(src)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: fuel must be positive, not 0\n"
+
+    @pytest.mark.parametrize("command", [["eval", "--engine", "krivine"], ["compare"]])
+    def test_malformed_fuel_env_exit_code(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("HEADLAB_FUEL", "abc")
+        code, out, err = run_cli([*command, "-"], stdin="x", monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: HEADLAB_FUEL must be an integer, not 'abc'\n"
 
     def test_classify(self, tmp_path, capsys):
         src = tmp_path / "t.lam"

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from headlab import coalesced, envmachine, headsimple, projection, syntax, weakhead
+from headlab.engines import HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, evaluate
 from headlab.parse import parse_term
 from headlab.syntax import (
     App,
@@ -12,13 +14,15 @@ from headlab.syntax import (
     NormalFormClass,
     Proj,
     Var,
+    all_names,
     alpha_eq,
     classify,
     free_vars,
     fresh,
     subst,
+    term_metrics,
 )
-from helpers import db_free_names, db_subst, peel, to_db
+from helpers import db_free_names, db_subst, peel, ref_measures, to_db
 
 
 def T(src):
@@ -89,6 +93,84 @@ class TestSubst:
             assert to_db(got) == want
             checked += 1
         assert checked >= 100
+
+
+def _cached_measure_mismatches(t):
+    """Nodes of t whose cached size, height or free variables differ from
+    the reference walker's."""
+    nodes = []
+    ref_measures(t, nodes)
+    return [
+        (node, size, height, free)
+        for node, size, height, free in nodes
+        if term_metrics(node) != (size, height) or free_vars(node) != free
+    ]
+
+
+class TestCachedMeasures:
+    def test_match_reference_on_corpus(self, corpus1000):
+        for term in corpus1000:
+            assert _cached_measure_mismatches(term) == []
+
+    def test_match_reference_on_engine_substitutions(self, corpus120, monkeypatch):
+        # Every subst an engine makes on corpus120, run as given and applied
+        # to the free variables y and x, which the corpus binder names
+        # capture.  A smaller node guard keeps the diverging runs short.
+        seen = {"calls": 0, "renamed": 0, "atoms": 0}
+        mismatches = []
+
+        def checked_subst(t, x, s):
+            result = subst(t, x, s)
+            seen["calls"] += 1
+            seen["renamed"] += bool(all_names(result) - all_names(t) - all_names(s))
+            nodes = []
+            ref_measures(result, nodes)
+            seen["atoms"] += any(isinstance(node, (Proj, Index)) for node, *_ in nodes)
+            mismatches.extend(_cached_measure_mismatches(result))
+            return result
+
+        for module in (weakhead, headsimple, projection, coalesced, envmachine):
+            assert module.subst is syntax.subst
+            monkeypatch.setattr(module, "subst", checked_subst)
+        for term in corpus120:
+            for start in (term, App(App(term, Var("y")), Var("x"))):
+                for name in WH_ENGINE_NAMES + HEAD_ENGINE_NAMES:
+                    evaluate(start, name, 100, max_state_nodes=2_000)
+        assert mismatches == []
+        assert seen["calls"] > 10_000
+        assert seen["renamed"] > 0 and seen["atoms"] > 0
+
+    def test_subst_returns_term_when_name_not_free(self, corpus300):
+        rng = random.Random(5)
+        for closed in corpus300:
+            term, frees = peel(closed, rng)
+            for name in ("zz", *all_names(term) - set(frees)):
+                assert subst(term, name, Var("q")) is term
+
+    def test_subst_shares_untouched_subtrees(self):
+        fun, arg = T(r"\z.z w"), T(r"x (\y.y)")
+        result = subst(App(fun, arg), "x", Var("v"))
+        assert result == App(fun, T(r"v (\y.y)"))
+        assert result.fun is fun
+        assert result.arg.arg is arg.arg
+
+    def test_values_unchanged_by_cached_fields(self):
+        term = App(Var("x"), Lam("y", App(Proj(0), Index(1))))
+        assert repr(term) == (
+            "App(fun=Var(name='x'), arg=Lam(binder='y', "
+            "body=App(fun=Proj(depth=0), arg=Index(value=1))))"
+        )
+        assert (Var.__match_args__, App.__match_args__, Lam.__match_args__) == (
+            ("name",), ("fun", "arg"), ("binder", "body"),
+        )
+        assert (Proj.__match_args__, Index.__match_args__) == (("depth",), ("value",))
+        fresh_copy = App(Var("x"), Lam("y", App(Proj(0), Index(1))))
+        free_vars(term)  # fills the memo on term but not on fresh_copy
+        assert term == fresh_copy and hash(term) == hash(fresh_copy)
+        assert hash(term) == hash((term.fun, term.arg))
+        assert hash(term.arg) == hash(("y", term.arg.body))
+        assert hash(Var("x")) == hash(("x",))
+        assert term != App(Var("x"), Lam("z", App(Proj(0), Index(1))))
 
 
 class TestAlphaEq:
