@@ -136,6 +136,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.size < 1:
+        print(f"error: --size must be at least 1, not {args.size}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.count < 0:
+        print(f"error: --count must not be negative, not {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     cfg = GenConfig(max_size=args.size, seed=args.seed)
     for term in gen_terms(cfg, args.count):
         print(print_term(term))

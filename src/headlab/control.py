@@ -12,16 +12,26 @@ Substitution deserves a note: the machine rules substitute a term and a
 co-term simultaneously, and either payload may carry the other sort of
 free name into scope, so a single parallel substitution with renaming at
 both binder kinds is the only correct shape.
+
+Every node carries its node count (`size`), set when it is built, so the
+growth guard reads one field of a command instead of walking it.  The
+compound nodes (CApp, Mu, Case, CPush, CCommand) also keep a memo of their
+free names that free_names_term, free_names_coterm and free_names_command
+fill on first use; like the memo of syntax.App it is an idempotent cache.
+With it, substitution returns a subterm in which no key is free unchanged
+instead of copying it, as long as no payload has a free name (which could
+make a binder rename).  None of these fields takes part in `==`, `hash`,
+`repr` or pattern matching.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .projection import PCommand, PPush, PStuck, PCoTerm
-from .syntax import App, Lam, Proj, Term, Var, fresh
+from .syntax import App, Lam, Proj, Term, Var, _cached, fresh
 from .weakhead import KCommand, KCoTerm, KPush, TOP
 
 __all__ = [
@@ -52,32 +62,65 @@ __all__ = [
 ]
 
 
+# The free names of a control term, co-term or command: (term variables,
+# co-variables).
+Names = tuple[frozenset[str], frozenset[str]]
+
+_NO_NAMES: Names = (frozenset(), frozenset())
+
+
 @dataclass(frozen=True, slots=True)
 class CVar:
     name: str
+    size: ClassVar[int] = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CApp:
     fun: "CTerm"
     arg: "CTerm"
+    size: int = _cached()
+    _fn: Optional[Names] = _cached()
+
+    def __init__(self, fun: "CTerm", arg: "CTerm") -> None:
+        _capp_fun(self, fun)
+        _capp_arg(self, arg)
+        _capp_size(self, fun.size + arg.size + 1)
+        _capp_fn(self, None)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Mu:
     """Capture the current co-term under a name and run the body."""
 
     covar: str
     body: "CCommand"
+    size: int = _cached()
+    _fn: Optional[Names] = _cached()
+
+    def __init__(self, covar: str, body: "CCommand") -> None:
+        _mu_covar(self, covar)
+        _mu_body(self, body)
+        _mu_size(self, body.size + 1)
+        _mu_fn(self, None)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Case:
     """Pattern-match on the co-term: bind its head argument and its tail."""
 
     binder: str
     cobinder: str
     body: "CCommand"
+    size: int = _cached()
+    _fn: Optional[Names] = _cached()
+
+    def __init__(self, binder: str, cobinder: str, body: "CCommand") -> None:
+        _case_binder(self, binder)
+        _case_cobinder(self, cobinder)
+        _case_body(self, body)
+        _case_size(self, body.size + 1)
+        _case_fn(self, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +128,7 @@ class CarS:
     """Head projection out of the stuck co-term `depth` frames down."""
 
     depth: int
+    size: ClassVar[int] = 1
 
 
 CTerm = Union[CVar, CApp, Mu, Case, CarS]
@@ -93,12 +137,21 @@ CTerm = Union[CVar, CApp, Mu, Case, CarS]
 @dataclass(frozen=True, slots=True)
 class CoVar:
     name: str
+    size: ClassVar[int] = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CPush:
     arg: CTerm
     rest: "CCoTerm"
+    size: int = _cached()
+    _fn: Optional[Names] = _cached()
+
+    def __init__(self, arg: CTerm, rest: "CCoTerm") -> None:
+        _cpush_arg(self, arg)
+        _cpush_rest(self, rest)
+        _cpush_size(self, arg.size + rest.size + 1)
+        _cpush_fn(self, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,52 +159,98 @@ class CStuckCo:
     """The top level with `depth` frames dropped; 0 is the top itself."""
 
     depth: int
+    size: ClassVar[int] = 1
 
 
 CCoTerm = Union[CoVar, CPush, CStuckCo]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CCommand:
     term: CTerm
     coterm: CCoTerm
+    size: int = _cached()
+    _fn: Optional[Names] = _cached()
+
+    def __init__(self, term: CTerm, coterm: CCoTerm) -> None:
+        _ccommand_term(self, term)
+        _ccommand_coterm(self, coterm)
+        _ccommand_size(self, term.size + coterm.size)
+        _ccommand_fn(self, None)
 
 
-def free_names_term(t: CTerm) -> tuple[frozenset[str], frozenset[str]]:
+# The slot setters of the compound nodes, which write through the slot
+# descriptors as syntax.App and syntax.Lam do.
+_capp_fun, _capp_arg, _capp_size, _capp_fn = (
+    getattr(CApp, name).__set__ for name in ("fun", "arg", "size", "_fn")
+)
+_mu_covar, _mu_body, _mu_size, _mu_fn = (
+    getattr(Mu, name).__set__ for name in ("covar", "body", "size", "_fn")
+)
+_case_binder, _case_cobinder, _case_body, _case_size, _case_fn = (
+    getattr(Case, name).__set__ for name in ("binder", "cobinder", "body", "size", "_fn")
+)
+_cpush_arg, _cpush_rest, _cpush_size, _cpush_fn = (
+    getattr(CPush, name).__set__ for name in ("arg", "rest", "size", "_fn")
+)
+_ccommand_term, _ccommand_coterm, _ccommand_size, _ccommand_fn = (
+    getattr(CCommand, name).__set__ for name in ("term", "coterm", "size", "_fn")
+)
+
+
+def _union(a: Names, b: Names) -> Names:
+    return a[0] | b[0], a[1] | b[1]
+
+
+def free_names_term(t: CTerm) -> Names:
     """(free term variables, free co-variables) of a term."""
     match t:
         case CVar(name):
             return frozenset((name,)), frozenset()
         case CApp(fun, arg):
-            fv1, fc1 = free_names_term(fun)
-            fv2, fc2 = free_names_term(arg)
-            return fv1 | fv2, fc1 | fc2
+            names = t._fn
+            if names is None:
+                names = _union(free_names_term(fun), free_names_term(arg))
+                _capp_fn(t, names)
+            return names
         case Mu(covar, body):
-            fv, fc = free_names_command(body)
-            return fv, fc - {covar}
+            names = t._fn
+            if names is None:
+                fv, fc = free_names_command(body)
+                names = fv, fc - {covar}
+                _mu_fn(t, names)
+            return names
         case Case(binder, cobinder, body):
-            fv, fc = free_names_command(body)
-            return fv - {binder}, fc - {cobinder}
+            names = t._fn
+            if names is None:
+                fv, fc = free_names_command(body)
+                names = fv - {binder}, fc - {cobinder}
+                _case_fn(t, names)
+            return names
         case _:
-            return frozenset(), frozenset()
+            return _NO_NAMES
 
 
-def free_names_coterm(e: CCoTerm) -> tuple[frozenset[str], frozenset[str]]:
+def free_names_coterm(e: CCoTerm) -> Names:
     match e:
         case CoVar(name):
             return frozenset(), frozenset((name,))
         case CPush(arg, rest):
-            fv1, fc1 = free_names_term(arg)
-            fv2, fc2 = free_names_coterm(rest)
-            return fv1 | fv2, fc1 | fc2
+            names = e._fn
+            if names is None:
+                names = _union(free_names_term(arg), free_names_coterm(rest))
+                _cpush_fn(e, names)
+            return names
         case _:
-            return frozenset(), frozenset()
+            return _NO_NAMES
 
 
-def free_names_command(c: CCommand) -> tuple[frozenset[str], frozenset[str]]:
-    fv1, fc1 = free_names_term(c.term)
-    fv2, fc2 = free_names_coterm(c.coterm)
-    return fv1 | fv2, fc1 | fc2
+def free_names_command(c: CCommand) -> Names:
+    names = c._fn
+    if names is None:
+        names = _union(free_names_term(c.term), free_names_coterm(c.coterm))
+        _ccommand_fn(c, names)
+    return names
 
 
 def _payload_names(tmap: dict[str, CTerm], cmap: dict[str, CCoTerm]):
@@ -169,12 +268,24 @@ def _payload_names(tmap: dict[str, CTerm], cmap: dict[str, CCoTerm]):
 
 
 def subst_command(c: CCommand, tmap: dict[str, CTerm], cmap: dict[str, CCoTerm]) -> CCommand:
-    """Simultaneous capture-avoiding substitution over a command."""
+    """Simultaneous capture-avoiding substitution over a command.
+
+    Subterms the substitution would only copy are shared with c instead.
+    """
     avoid_v, avoid_c = _payload_names(tmap, cmap)
     return _sub_command(c, tmap, cmap, avoid_v, avoid_c)
 
 
+def _untouched(names: Names, tmap, cmap, avoid_v, avoid_c) -> bool:
+    """Substituting into a subterm with these free names gives an equal
+    copy of it: no key is free in it, and no payload carries a free name
+    that one of its binders would be renamed away from."""
+    return not (avoid_v or avoid_c) and names[0].isdisjoint(tmap) and names[1].isdisjoint(cmap)
+
+
 def _sub_command(c, tmap, cmap, avoid_v, avoid_c) -> CCommand:
+    if _untouched(free_names_command(c), tmap, cmap, avoid_v, avoid_c):
+        return c
     return CCommand(
         _sub_term(c.term, tmap, cmap, avoid_v, avoid_c),
         _sub_coterm(c.coterm, tmap, cmap, avoid_v, avoid_c),
@@ -186,6 +297,8 @@ def _sub_coterm(e, tmap, cmap, avoid_v, avoid_c) -> CCoTerm:
         case CoVar(name):
             return cmap.get(name, e)
         case CPush(arg, rest):
+            if _untouched(free_names_coterm(e), tmap, cmap, avoid_v, avoid_c):
+                return e
             return CPush(
                 _sub_term(arg, tmap, cmap, avoid_v, avoid_c),
                 _sub_coterm(rest, tmap, cmap, avoid_v, avoid_c),
@@ -198,6 +311,11 @@ def _sub_term(t, tmap, cmap, avoid_v, avoid_c) -> CTerm:
     match t:
         case CVar(name):
             return tmap.get(name, t)
+        case CarS():
+            return t
+    if _untouched(free_names_term(t), tmap, cmap, avoid_v, avoid_c):
+        return t
+    match t:
         case CApp(fun, arg):
             return CApp(
                 _sub_term(fun, tmap, cmap, avoid_v, avoid_c),
@@ -234,8 +352,6 @@ def _sub_term(t, tmap, cmap, avoid_v, avoid_c) -> CTerm:
                 cobinder = renamed
                 avoid_c = avoid_c | {renamed}
             return Case(binder, cobinder, _sub_command(body, tmap2, cmap2, avoid_v, avoid_c))
-        case _:
-            return t
 
 
 def control_load(t: CTerm) -> CCommand:

@@ -39,17 +39,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Closure:
     term: Term
     env: "Env"
 
+    def __init__(self, term: Term, env: "Env") -> None:
+        _closure_term(self, term)
+        _closure_env(self, env)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Binding:
     name: str
     value: Closure
     rest: "Env"
+
+    def __init__(self, name: str, value: Closure, rest: "Env") -> None:
+        _binding_name(self, name)
+        _binding_value(self, value)
+        _binding_rest(self, rest)
 
 
 # Environments are shared-tail linked lists; None is the empty one.
@@ -64,10 +73,14 @@ def env_lookup(env: Env, name: str) -> Optional[Closure]:
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EPush:
     arg: Closure
     rest: "ECoTerm"
+
+    def __init__(self, arg: Closure, rest: "ECoTerm") -> None:
+        _epush_arg(self, arg)
+        _epush_rest(self, rest)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,11 +91,30 @@ class EStuck:
 ECoTerm = Union[EPush, EStuck]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ECommand:
     term: Term
     env: Env
     coterm: ECoTerm
+
+    def __init__(self, term: Term, env: Env, coterm: ECoTerm) -> None:
+        _ecommand_term(self, term)
+        _ecommand_env(self, env)
+        _ecommand_coterm(self, coterm)
+
+
+# The machines build one or more of these on every transition.  The
+# hand-written __init__ methods above write through the slot descriptors,
+# which is cheaper than the object.__setattr__ calls of a generated frozen
+# __init__ (the same idiom as syntax.App and syntax.Lam).
+_closure_term, _closure_env = (getattr(Closure, name).__set__ for name in ("term", "env"))
+_binding_name, _binding_value, _binding_rest = (
+    getattr(Binding, name).__set__ for name in ("name", "value", "rest")
+)
+_epush_arg, _epush_rest = (getattr(EPush, name).__set__ for name in ("arg", "rest"))
+_ecommand_term, _ecommand_env, _ecommand_coterm = (
+    getattr(ECommand, name).__set__ for name in ("term", "env", "coterm")
+)
 
 
 class ForceBudgetExceeded(Exception):
@@ -94,17 +126,18 @@ def env_krivine_load(t: Term) -> ECommand:
 
 
 def env_krivine_step(c: ECommand) -> Optional[tuple[str, ECommand]]:
+    # Lookups are nearly every transition, so their case is tried first.
     match c.term:
-        case App(fun, arg):
-            return "push", ECommand(fun, c.env, EPush(Closure(arg, c.env), c.coterm))
-        case Lam(binder, body) if isinstance(c.coterm, EPush):
-            extended = Binding(binder, c.coterm.arg, c.env)
-            return "bind", ECommand(body, extended, c.coterm.rest)
         case Var(name):
             found = env_lookup(c.env, name)
             if found is None:
                 return None
             return "lookup", ECommand(found.term, found.env, c.coterm)
+        case App(fun, arg):
+            return "push", ECommand(fun, c.env, EPush(Closure(arg, c.env), c.coterm))
+        case Lam(binder, body) if isinstance(c.coterm, EPush):
+            extended = Binding(binder, c.coterm.arg, c.env)
+            return "bind", ECommand(body, extended, c.coterm.rest)
         case _:
             return None
 
@@ -128,6 +161,11 @@ def env_head_load(t: Term) -> ECommand:
 
 def env_head_step(c: ECommand) -> Optional[tuple[str, ECommand]]:
     match c.term:
+        case Var(name):
+            found = env_lookup(c.env, name)
+            if found is None:
+                return None
+            return "lookup", ECommand(found.term, found.env, c.coterm)
         case App(fun, arg):
             return "push", ECommand(fun, c.env, EPush(Closure(arg, c.env), c.coterm))
         case Lam(binder, body):
@@ -140,11 +178,6 @@ def env_head_step(c: ECommand) -> Optional[tuple[str, ECommand]]:
                     # projection ever needs looking up.
                     bound = Binding(binder, Closure(Proj(n), c.env), c.env)
                     return "project", ECommand(body, bound, EStuck(n + 1))
-        case Var(name):
-            found = env_lookup(c.env, name)
-            if found is None:
-                return None
-            return "lookup", ECommand(found.term, found.env, c.coterm)
         case _:
             return None
 

@@ -6,7 +6,7 @@ sys.setrecursionlimit(30_000)
 
 import pytest
 
-from headlab.engines import HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, evaluate
+from headlab.engines import CONTROL_ENGINE_NAMES, HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, evaluate
 from headlab.gen import GenConfig, gen_terms
 
 # The corpus the acceptance criteria run on: fixed seed, size bound 30.
@@ -44,4 +44,13 @@ def head_outcomes(corpus1000):
     return {
         name: [evaluate(t, name, CORPUS_FUEL)[0] for t in corpus1000]
         for name in HEAD_ENGINE_NAMES
+    }
+
+
+@pytest.fixture(scope="session")
+def control_outcomes(corpus1000):
+    """Outcome of every control engine on every corpus term."""
+    return {
+        name: [evaluate(t, name, CORPUS_FUEL)[0] for t in corpus1000]
+        for name in CONTROL_ENGINE_NAMES
     }

@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 
+from headlab.control import CApp, CarS, Case, CCommand, CoVar, CPush, CStuckCo, CVar, Mu
 from headlab.projection import TopTerm
 from headlab.syntax import App, Index, Lam, Proj, Term, Var
 
@@ -86,6 +87,42 @@ def ref_measures(t: Term, out: list | None = None) -> tuple[int, int, frozenset[
     if out is not None:
         out.append((t, size, height, free))
     return size, height, free
+
+
+def ref_control_measures(node, memo: dict | None = None) -> tuple[int, frozenset[str], frozenset[str]]:
+    """(size, free term variables, free co-variables) of a control term,
+    co-term or command.  A command counts its term and co-term, every other
+    node counts one plus its children.  When `memo` is given it maps the id
+    of every node visited to (node, size, term variables, co-variables),
+    and a node already in it is not walked again."""
+    if memo is not None and id(node) in memo:
+        return memo[id(node)][1:]
+    if isinstance(node, CVar):
+        size, fv, fc = 1, frozenset((node.name,)), frozenset()
+    elif isinstance(node, CoVar):
+        size, fv, fc = 1, frozenset(), frozenset((node.name,))
+    elif isinstance(node, (CarS, CStuckCo)):
+        size, fv, fc = 1, frozenset(), frozenset()
+    elif isinstance(node, (CApp, CPush, CCommand)):
+        if isinstance(node, CApp):
+            parts, own = (node.fun, node.arg), 1
+        elif isinstance(node, CPush):
+            parts, own = (node.arg, node.rest), 1
+        else:
+            parts, own = (node.term, node.coterm), 0
+        (s1, fv1, fc1), (s2, fv2, fc2) = (ref_control_measures(part, memo) for part in parts)
+        size, fv, fc = own + s1 + s2, fv1 | fv2, fc1 | fc2
+    elif isinstance(node, Mu):
+        b_size, fv, b_fc = ref_control_measures(node.body, memo)
+        size, fc = 1 + b_size, b_fc - {node.covar}
+    elif isinstance(node, Case):
+        b_size, b_fv, b_fc = ref_control_measures(node.body, memo)
+        size, fv, fc = 1 + b_size, b_fv - {node.binder}, b_fc - {node.cobinder}
+    else:
+        raise TypeError(node)
+    if memo is not None:
+        memo[id(node)] = (node, size, fv, fc)
+    return size, fv, fc
 
 
 # ---------------------------------------------------------------------------

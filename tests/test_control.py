@@ -1,8 +1,12 @@
 """Context-naming machines: rules, legality, and the embedding of plain
 lambda terms."""
 
+import dataclasses
+import random
+
 import pytest
 
+from headlab import control
 from headlab.control import (
     CApp,
     CCommand,
@@ -19,14 +23,20 @@ from headlab.control import (
     control_proj_step,
     control_step,
     embed_term,
+    free_names_command,
+    free_names_coterm,
+    free_names_term,
     is_legal_command,
     legality_status,
     subst_command,
     unembed_term,
 )
+from headlab.engines import evaluate
 from headlab.parse import parse_term
-from headlab.syntax import alpha_eq
+from headlab.syntax import App, Lam, Var, alpha_eq, fresh
 from headlab.weakhead import krivine_load, krivine_step
+from conftest import CORPUS_FUEL
+from helpers import ref_control_measures
 
 
 def T(src):
@@ -217,3 +227,220 @@ class TestEmbedding:
                 assert alpha_eq(control_out.result, head_out.result)
             else:
                 assert type(control_out).__name__ == type(head_out).__name__
+
+
+def _starts(corpus120):
+    """Every corpus120 term as given and applied to the free variables y
+    and x, which the corpus binder names capture."""
+    for term in corpus120:
+        yield term
+        yield App(App(term, Var("y")), Var("x"))
+
+
+def _run(term, step, fuel=100, max_nodes=2_000):
+    """Every state a control machine reaches from term, up to `fuel` betas
+    or a state of more than `max_nodes` nodes."""
+    state = control_load(embed_term(term))
+    yield state
+    betas = 0
+    while betas < fuel and state.size <= max_nodes:
+        nxt = step(state)
+        if nxt is None:
+            return
+        rule, state = nxt
+        yield state
+        betas += rule == "beta"
+
+
+def _gen_term(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return CVar(rng.choice("xyz")) if roll < 0.2 else CarS(rng.randrange(3))
+    if roll < 0.55:
+        return CApp(_gen_term(rng, depth - 1), _gen_term(rng, depth - 1))
+    if roll < 0.75:
+        return Mu(rng.choice("abk"), _gen_command(rng, depth - 1))
+    return Case(rng.choice("xyz"), rng.choice("abk"), _gen_command(rng, depth - 1))
+
+
+def _gen_coterm(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.4:
+        return CoVar(rng.choice("abk")) if roll < 0.25 else CStuckCo(rng.randrange(3))
+    return CPush(_gen_term(rng, depth - 1), _gen_coterm(rng, depth - 1))
+
+
+def _gen_command(rng, depth):
+    return CCommand(_gen_term(rng, depth), _gen_coterm(rng, depth))
+
+
+def _free_names(node):
+    if isinstance(node, CCommand):
+        return free_names_command(node)
+    if isinstance(node, (CoVar, CPush, CStuckCo)):
+        return free_names_coterm(node)
+    return free_names_term(node)
+
+
+def _measure_mismatches(memo):
+    """The nodes in a ref_control_measures memo whose cached size or free
+    names differ from the reference walk."""
+    return [node for node, size, fv, fc in memo.values() if (node.size, _free_names(node)) != (size, (fv, fc))]
+
+
+class TestCachedMeasures:
+    """The size and free-name memo the control nodes carry agree with a
+    plain recursive walk (the size the growth guard used to walk)."""
+
+    def test_match_reference_on_machine_states(self, corpus120, monkeypatch):
+        seen = {"states": 0, "substs": 0}
+        memo: dict = {}
+
+        def checked_subst(c, tmap, cmap):
+            result = subst_command(c, tmap, cmap)
+            seen["substs"] += 1
+            ref_control_measures(result, memo)
+            return result
+
+        monkeypatch.setattr(control, "subst_command", checked_subst)
+        mismatches = []
+        for term in _starts(corpus120):
+            for step in (control_step, control_proj_step):
+                for state in _run(term, step):
+                    seen["states"] += 1
+                    ref_control_measures(state, memo)
+                mismatches += _measure_mismatches(memo)
+                memo.clear()
+        assert mismatches == []
+        assert seen["states"] > 5_000 and seen["substs"] > 2_000
+
+    def test_match_reference_on_random_commands(self):
+        # Embedded lambda terms never hold a Mu or a co-variable outside a
+        # Case body; these random commands do, and leave names free.
+        rng = random.Random(3)
+        memo: dict = {}
+        mismatches = []
+        for _ in range(400):
+            command = _gen_command(rng, rng.randrange(1, 6))
+            tmap = {name: _gen_term(rng, 2) for name in rng.sample("xyz", rng.randrange(3))}
+            cmap = {name: _gen_coterm(rng, 2) for name in rng.sample("abk", rng.randrange(3))}
+            ref_control_measures(subst_command(command, tmap, cmap), memo)
+            for _ in range(20):
+                ref_control_measures(command, memo)
+                nxt = control_proj_step(command)
+                if nxt is None:
+                    break
+                command = nxt[1]
+            mismatches += _measure_mismatches(memo)
+            memo.clear()
+        assert mismatches == []
+
+    def test_atoms_have_size_one_and_fixed_names(self):
+        assert [cls.size for cls in (CVar, CarS, CoVar, CStuckCo)] == [1, 1, 1, 1]
+        assert free_names_term(CVar("x")) == (frozenset({"x"}), frozenset())
+        assert free_names_term(CarS(2)) == (frozenset(), frozenset())
+        assert free_names_coterm(CoVar("k")) == (frozenset(), frozenset({"k"}))
+        assert free_names_coterm(CStuckCo(0)) == (frozenset(), frozenset())
+
+    def test_subst_command_returns_untouched_subterms(self):
+        # The machines substitute closed payloads into closed programs, the
+        # case in which untouched subterms are shared.
+        fun = Case("y", "j", CCommand(CVar("y"), CoVar("j")))
+        arg = CApp(CVar("x"), CVar("z"))
+        coterm = CPush(CVar("w"), CStuckCo(0))
+        command = CCommand(CApp(fun, arg), coterm)
+        result = subst_command(command, {"x": CarS(0)}, {"k": CStuckCo(1)})
+        assert result == CCommand(CApp(fun, CApp(CarS(0), CVar("z"))), coterm)
+        assert result.term.fun is fun
+        assert result.term.arg.arg is arg.arg
+        assert result.coterm is coterm
+        assert subst_command(command, {"q": CarS(0)}, {"k": CStuckCo(1)}) is command
+        assert subst_command(command, {"y": CarS(0)}, {"j": CStuckCo(1)}) is command
+
+    def test_open_payloads_keep_the_binder_renaming(self):
+        # A payload with a free name renames a binder of that name even
+        # where no key is free below it, as substitution always has, so no
+        # state is spelled differently; only closed payloads share.
+        inner = Case("y", "j", CCommand(CVar("y"), CoVar("j")))
+        command = CCommand(CApp(CVar("x"), inner), CStuckCo(0))
+        result = subst_command(command, {"x": CVar("y")}, {})
+        assert result == CCommand(
+            CApp(CVar("y"), Case("y1", "j", CCommand(CVar("y1"), CoVar("j")))), CStuckCo(0),
+        )
+        assert subst_command(command, {"x": CVar("u")}, {}).term.arg == inner
+        assert subst_command(command, {"x": CarS(0)}, {}).term.arg is inner
+
+    def test_values_unchanged_by_cached_fields(self):
+        def build():
+            body = CCommand(Case("y", "j", CCommand(CarS(0), CoVar("j"))), CPush(CVar("z"), CStuckCo(1)))
+            return CCommand(CApp(CVar("x"), Mu("k", body)), CoVar("k"))
+
+        command = build()
+        assert repr(command) == (
+            "CCommand(term=CApp(fun=CVar(name='x'), arg=Mu(covar='k', body=CCommand("
+            "term=Case(binder='y', cobinder='j', body=CCommand(term=CarS(depth=0), "
+            "coterm=CoVar(name='j'))), coterm=CPush(arg=CVar(name='z'), rest=CStuckCo(depth=1))))), "
+            "coterm=CoVar(name='k'))"
+        )
+        assert [cls.__match_args__ for cls in (CVar, CApp, Mu, Case, CarS, CoVar, CPush, CStuckCo, CCommand)] == [
+            ("name",), ("fun", "arg"), ("covar", "body"), ("binder", "cobinder", "body"), ("depth",),
+            ("name",), ("arg", "rest"), ("depth",), ("term", "coterm"),
+        ]
+        fresh_copy = build()
+        free_names_command(command)  # fills the memos of command but not of fresh_copy
+        assert command == fresh_copy and hash(command) == hash(fresh_copy)
+        mu = command.term.arg
+        assert hash(command) == hash((command.term, command.coterm))
+        assert hash(mu) == hash(("k", mu.body))
+        assert hash(mu.body.term) == hash(("y", "j", mu.body.term.body))
+        assert hash(mu.body.coterm) == hash((CVar("z"), CStuckCo(1)))
+        assert command != CCommand(CApp(CVar("x"), Mu("k2", mu.body)), CoVar("k"))
+        for node, name in (
+            (command, "term"), (command.term, "fun"), (mu, "covar"), (mu.body.term, "binder"),
+            (mu.body.coterm, "rest"), (CVar("x"), "name"), (CarS(0), "depth"), (CoVar("k"), "name"),
+            (CStuckCo(0), "depth"), (command, "size"), (mu, "_fn"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+
+
+class TestCaptureRenaming:
+    """The corpus is closed, so its runs never rename a binder.  Applied to
+    the free variables y and x, which its binder names capture, the control
+    machines do rename, and must still agree with the substitution machines
+    by the benchmark's control check: control-proj agrees with head-proj,
+    and control-krivine is stuck exactly when krivine gives a lambda and
+    otherwise gives the same neutral term."""
+
+    @staticmethod
+    def _same(a, b):
+        if type(a).__name__ == type(b).__name__ == "Normal":
+            return alpha_eq(a.result, b.result)
+        return type(a) is type(b) and type(a).__name__ != "Normal"
+
+    def test_applied_corpus_agrees_with_substitution_machines(self, corpus120, monkeypatch):
+        renames = []
+
+        def counting_fresh(avoid, hint="x"):
+            renames.append(hint)
+            return fresh(avoid, hint)
+
+        monkeypatch.setattr(control, "fresh", counting_fresh)
+        problems = []
+        for term in corpus120:
+            applied = App(App(term, Var("y")), Var("x"))
+            out = {
+                name: evaluate(applied, name, CORPUS_FUEL)[0]
+                for name in ("krivine", "head-proj", "control-krivine", "control-proj")
+            }
+            if not self._same(out["head-proj"], out["control-proj"]):
+                problems.append(("control-proj", term, out["head-proj"], out["control-proj"]))
+            krivine = out["krivine"]
+            if type(krivine).__name__ == "Normal" and isinstance(krivine.result, Lam):
+                if type(out["control-krivine"]).__name__ != "Stuck":
+                    problems.append(("control-krivine on a lambda", term, out["control-krivine"]))
+            elif not self._same(krivine, out["control-krivine"]):
+                problems.append(("control-krivine", term, krivine, out["control-krivine"]))
+        assert problems == []
+        assert len(renames) > 100
+        assert {"x", "y"} <= set(renames)

@@ -8,6 +8,7 @@ import pytest
 
 from headlab.cli import main
 from headlab.engines import (
+    CONTROL_ENGINE_NAMES,
     HEAD_ENGINE_NAMES,
     WH_ENGINE_NAMES,
     FuelExhausted,
@@ -115,15 +116,16 @@ class TestEvaluate:
 
 
 class TestGoldenOutcomes:
-    """Every weak-head and head engine ends each corpus run the way it did
-    when tests/golden_outcomes.json was written (by
-    tests/make_golden_outcomes.py): same kind, guard reason and beta count.
-    This pins the growth guard to fire at the same beta."""
+    """Every engine ends each corpus run the way it did when
+    tests/golden_outcomes.json was written (by tests/make_golden_outcomes.py):
+    same kind, guard reason and beta count.  This pins the growth guard to
+    fire at the same beta."""
 
     GOLDEN = json.loads((Path(__file__).parent / "golden_outcomes.json").read_text(encoding="utf-8"))
 
     def test_engine_sets_match(self):
-        assert sorted(self.GOLDEN) == sorted(WH_ENGINE_NAMES + HEAD_ENGINE_NAMES)
+        assert sorted(self.GOLDEN) == sorted(WH_ENGINE_NAMES + HEAD_ENGINE_NAMES + CONTROL_ENGINE_NAMES)
+        assert sorted(self.GOLDEN) == sorted(engine_names())
 
     @pytest.mark.parametrize("name", WH_ENGINE_NAMES)
     def test_weak_head(self, wh_outcomes, name):
@@ -132,6 +134,10 @@ class TestGoldenOutcomes:
     @pytest.mark.parametrize("name", HEAD_ENGINE_NAMES)
     def test_head(self, head_outcomes, name):
         assert outcome_fingerprint(head_outcomes[name]) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", CONTROL_ENGINE_NAMES)
+    def test_control(self, control_outcomes, name):
+        assert outcome_fingerprint(control_outcomes[name]) == self.GOLDEN[name]
 
 
 class TestAdversarialNaming:
@@ -352,6 +358,27 @@ class TestCli:
         assert len(first.strip().splitlines()) == 4
         for line in first.strip().splitlines():
             assert free_vars(parse_term(line)) == set()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--size", "0"], "error: --size must be at least 1, not 0\n"),
+        (["--size", "-3"], "error: --size must be at least 1, not -3\n"),
+        (["--size", "12", "--count", "-2"], "error: --count must not be negative, not -2\n"),
+    ])
+    def test_gen_rejects_bad_size_and_count(self, flags, message, capsys):
+        code = main(["gen", "--seed", "5", *flags])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == message
+
+    def test_gen_accepts_smallest_size_and_zero_count(self, capsys):
+        assert main(["gen", "--size", "1", "--seed", "5"]) == 0
+        out, _ = capsys.readouterr()
+        assert len(out.splitlines()) == 1
+        assert free_vars(parse_term(out)) == set()
+        assert main(["gen", "--size", "12", "--seed", "5", "--count", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert out == err == ""
 
     def test_engines_lists_all(self, capsys):
         assert main(["engines"]) == 0

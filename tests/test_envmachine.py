@@ -1,6 +1,10 @@
 """Environment machines: rule instances, forcing, persistence, and
 agreement with their substitution-based twins."""
 
+import dataclasses
+
+import pytest
+
 from headlab.envmachine import (
     Binding,
     Closure,
@@ -129,6 +133,44 @@ class TestPersistence:
         assert force(Closure(Var("y"), two)) == Var("c")
         assert force(stale) == Var("b")
         assert force(Closure(Var("x"), one)) == Var("a")
+
+
+class TestStateValues:
+    """The hand-written constructors of the state classes build the same
+    values the generated ones did."""
+
+    @staticmethod
+    def _build():
+        env = Binding("x", Closure(Var("y"), None), None)
+        return ECommand(App(Var("x"), Var("z")), env, EPush(Closure(Proj(0), env), EStuck(1)))
+
+    def test_repr_eq_hash_and_match_args(self):
+        state = self._build()
+        assert repr(state) == (
+            "ECommand(term=App(fun=Var(name='x'), arg=Var(name='z')), "
+            "env=Binding(name='x', value=Closure(term=Var(name='y'), env=None), rest=None), "
+            "coterm=EPush(arg=Closure(term=Proj(depth=0), env=Binding(name='x', "
+            "value=Closure(term=Var(name='y'), env=None), rest=None)), rest=EStuck(depth=1)))"
+        )
+        assert [cls.__match_args__ for cls in (Closure, Binding, EPush, ECommand)] == [
+            ("term", "env"), ("name", "value", "rest"), ("arg", "rest"), ("term", "env", "coterm"),
+        ]
+        other = self._build()
+        assert state == other and hash(state) == hash(other)
+        assert hash(state) == hash((state.term, state.env, state.coterm))
+        assert hash(state.env) == hash(("x", state.env.value, None))
+        assert hash(state.coterm) == hash((state.coterm.arg, EStuck(1)))
+        assert hash(state.coterm.arg) == hash((Proj(0), state.env))
+        assert state != ECommand(state.term, None, state.coterm)
+
+    def test_frozen(self):
+        state = self._build()
+        for node, name in (
+            (state, "term"), (state, "env"), (state.env, "name"), (state.env, "rest"),
+            (state.env.value, "term"), (state.coterm, "arg"), (state.coterm, "rest"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
 
 
 class TestAgainstSubstitutionTwins:
