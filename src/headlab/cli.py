@@ -13,6 +13,8 @@ from typing import Optional
 
 from .engines import (
     ENGINES,
+    HEAD_ENGINE_NAMES,
+    WH_ENGINE_NAMES,
     CompareReport,
     FuelExhausted,
     InvalidFuelError,
@@ -102,9 +104,9 @@ def _select_engines(selector: str) -> list[str]:
     if selector == "all":
         return list(engine_names())
     if selector == "all-head":
-        return [n for n, e in ENGINES.items() if e.strategy == "head"]
+        return list(HEAD_ENGINE_NAMES)
     if selector == "all-wh":
-        return [n for n, e in ENGINES.items() if e.strategy == "weak-head"]
+        return list(WH_ENGINE_NAMES)
     names = [n.strip() for n in selector.split(",") if n.strip()]
     if len(names) < 2:
         raise UnknownEngineError("compare needs at least two engines")

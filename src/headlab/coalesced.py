@@ -6,7 +6,8 @@ one machine integer instead of a unary tower.  It reuses the projection
 machine's state representation (an offset is an offset); only the
 transition rules and the rendering differ, and the two are checked to
 run in lockstep.  The companion small-step semantics counts the absorbed
-top-level binders the same way.
+top-level binders the same way.  Both readback steps end in
+("done", term), for the engines' one readback driver to run.
 """
 
 from __future__ import annotations
@@ -16,26 +17,19 @@ from typing import Optional, Union
 
 from .syntax import (
     App,
-    IllegalStateError,
     Index,
     Lam,
     Proj,
     Term,
     Var,
     all_names,
+    atoms,
     canonical_binder,
     fresh,
-    is_pure,
+    replace_atom,
     subst,
 )
-from .projection import (
-    PCommand,
-    PPush,
-    PStuck,
-    collect_indices,
-    replace_index,
-    replace_projection,
-)
+from .projection import PCommand, PPush, PStuck
 
 __all__ = [
     "QCommand",
@@ -43,13 +37,11 @@ __all__ = [
     "coalesced_step",
     "coalesced_terminal",
     "coalesced_readback_step",
-    "coalesced_readback",
     "as_projection_command",
     "DTopTerm",
     "debruijn_load",
     "debruijn_step",
     "debruijn_readback_step",
-    "debruijn_readback",
     "is_legal_dtop",
 ]
 
@@ -91,22 +83,10 @@ def coalesced_readback_step(c: QCommand) -> tuple[str, Union[QCommand, Term]]:
         case PStuck(n) if n > 0:
             hint = canonical_binder(n - 1)
             x = fresh(all_names(c.term), hint)
-            body = replace_projection(c.term, n - 1, x)
+            body = replace_atom(c.term, Proj(n - 1), x)
             return "lambda", QCommand(Lam(x, body), PStuck(n - 1))
         case _:
             return "done", c.term
-
-
-def coalesced_readback(c: QCommand) -> Term:
-    while True:
-        rule, nxt = coalesced_readback_step(c)
-        if rule == "done":
-            assert not isinstance(nxt, QCommand)
-            if not is_pure(nxt):
-                raise IllegalStateError(f"projection survived readback: {nxt!r}")
-            return nxt
-        assert isinstance(nxt, QCommand)
-        c = nxt
 
 
 def as_projection_command(c: QCommand) -> PCommand:
@@ -154,23 +134,12 @@ def debruijn_step(t: DTopTerm) -> Optional[tuple[str, DTopTerm]]:
 
 
 def is_legal_dtop(t: DTopTerm) -> bool:
-    return all(i < t.prefix for i in collect_indices(t.body))
+    return all(i.value < t.prefix for i in atoms(t.body, Index))
 
 
-def debruijn_readback_step(t: DTopTerm) -> Optional[tuple[str, DTopTerm]]:
+def debruijn_readback_step(t: DTopTerm) -> tuple[str, Union[DTopTerm, Term]]:
     if t.prefix == 0:
-        return None
+        return "done", t.body
     k = t.prefix - 1
     x = fresh(all_names(t.body), canonical_binder(k))
-    return "name", DTopTerm(k, Lam(x, replace_index(t.body, k, x)))
-
-
-def debruijn_readback(t: DTopTerm) -> Term:
-    while True:
-        step = debruijn_readback_step(t)
-        if step is None:
-            break
-        _, t = step
-    if collect_indices(t.body):
-        raise IllegalStateError(f"index survived readback: {t.body!r}")
-    return t.body
+    return "name", DTopTerm(k, Lam(x, replace_atom(t.body, Index(k), x)))

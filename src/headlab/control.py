@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
 from .projection import PCommand, PPush, PStuck, PCoTerm
-from .syntax import App, Lam, Proj, Term, Var, _cached, fresh
+from .syntax import App, Lam, Proj, Term, Var, _cached, fresh, split_stack
 from .weakhead import KCommand, KCoTerm, KPush, TOP
 
 __all__ = [
@@ -420,34 +420,25 @@ def _collect_cars_term(t: CTerm, out: list[int]) -> None:
 
 
 def _collect_cars_coterm(e: CCoTerm, out: list[int]) -> None:
-    while isinstance(e, CPush):
-        _collect_cars_term(e.arg, out)
-        e = e.rest
+    for arg in split_stack(e, CPush)[0]:
+        _collect_cars_term(arg, out)
 
 
 def is_legal_command(c: CCommand) -> bool:
     """Every projection in the focused term or a stacked argument must be
     strictly shallower than the terminating stuck co-term.  A command
     ending in a co-variable has nothing to check and passes vacuously."""
-    args: list[CTerm] = [c.term]
-    e = c.coterm
-    while isinstance(e, CPush):
-        args.append(e.arg)
-        e = e.rest
+    args, e = split_stack(c.coterm, CPush)
     if isinstance(e, CoVar):
         return True
-    bound = e.depth
     depths: list[int] = []
-    for item in args:
+    for item in (c.term, *args):
         _collect_cars_term(item, depths)
-    return all(d < bound for d in depths)
+    return all(d < e.depth for d in depths)
 
 
 def legality_status(c: CCommand) -> str:
-    e = c.coterm
-    while isinstance(e, CPush):
-        e = e.rest
-    if isinstance(e, CoVar):
+    if isinstance(split_stack(c.coterm, CPush)[1], CoVar):
         return "not-applicable"
     return "legal" if is_legal_command(c) else "illegal"
 
@@ -494,11 +485,7 @@ def unembed_term(t: CTerm, allow_proj: bool = False) -> Term:
 def as_krivine_command(c: CCommand) -> KCommand:
     """View a reachable plain-machine state as a Krivine state."""
     stack: KCoTerm = TOP
-    args: list[CTerm] = []
-    e = c.coterm
-    while isinstance(e, CPush):
-        args.append(e.arg)
-        e = e.rest
+    args, e = split_stack(c.coterm, CPush)
     if not isinstance(e, CStuckCo) or e.depth != 0:
         raise ValueError("co-term does not end at the top level")
     for arg in reversed(args):
@@ -509,11 +496,7 @@ def as_krivine_command(c: CCommand) -> KCommand:
 def as_projection_command(c: CCommand) -> PCommand:
     """View a projection-machine state over pure code as a state of the
     control-free projection machine."""
-    args = []
-    e = c.coterm
-    while isinstance(e, CPush):
-        args.append(e.arg)
-        e = e.rest
+    args, e = split_stack(c.coterm, CPush)
     if not isinstance(e, CStuckCo):
         raise ValueError("open co-term")
     coterm: PCoTerm = PStuck(e.depth)

@@ -1,10 +1,16 @@
 """Engine registry, fueled evaluation driver, and cross-engine comparison.
 
 Every engine is driven the same way: load, step until no rule applies,
-classify the halt, read back a term.  Fuel is counted in beta
-contractions for every engine, because that is the one cost unit all of
-them share; the non-beta transitions between two contractions are always
-finitely bounded.  A coarse work guard additionally abandons runs whose
+classify the halt, read back a term.  The registry is one table of
+`Engine` rows, each naming its machine's own rules; the plumbing they
+share is written once here.  There is one readback driver,
+`_machine_readback`: it applies a machine's readback step until that
+says ("done", term), and it refuses a term that still holds a projection
+or an index.
+
+Fuel is counted in beta contractions for every engine, because that is
+the one cost unit all of them share; the non-beta transitions between
+two contractions are always finitely bounded.  A coarse work guard additionally abandons runs whose
 states or cumulative effort explode; any run it cuts short reports fuel
 exhaustion, the same outcome plain divergence gets.
 """
@@ -13,12 +19,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional, Union
 
 from . import coalesced, control, envmachine, headsimple, projection, weakhead
 from .fuel import FuelMeter, OutOfFuel
 from .pretty import print_state, print_term
-from .syntax import IllegalStateError, Term, alpha_eq, term_metrics
+from .syntax import IllegalStateError, Term, alpha_eq, is_pure, split_stack, term_metrics
 
 __all__ = [
     "Normal",
@@ -122,16 +129,24 @@ class Trace:
 Emit = Callable[[str, str], None]
 
 
-@dataclass(frozen=True)
+def _identity(t: Term) -> Term:
+    return t
+
+
+def _always_normal(state) -> tuple[str, str]:
+    return "normal", ""
+
+
+@dataclass(frozen=True, kw_only=True)
 class Engine:
     name: str
     strategy: str  # "weak-head" | "head" | "control"
     description: str
-    load: Callable[[Term], object]
+    load: Callable[[Term], object] = _identity
     step: Callable[[object], Optional[tuple[str, object]]]
-    halt: Callable[[object], tuple[str, str]]
+    halt: Callable[[object], tuple[str, str]] = _always_normal
     readback: Callable[[object, Emit, Optional[int]], Term]
-    render: Callable[[object], str]
+    render: Callable[[object], str] = print_state
     metrics: Callable[[object], tuple[int, int]]
     beta_rules: frozenset[str] = frozenset(("beta",))
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
@@ -145,6 +160,70 @@ class InvalidFuelError(ValueError):
     pass
 
 
+# --- halting, stepping and reading back ---------------------------------------
+
+
+def _halt_unless(terminal: Callable[[object], bool]) -> Callable[[object], tuple[str, str]]:
+    """A halt that calls a state normal when `terminal` accepts it, else stuck."""
+
+    def halt(state) -> tuple[str, str]:
+        if terminal(state):
+            return "normal", ""
+        return "stuck", "no transition applies"
+
+    return halt
+
+
+def _beta_step(fn: Callable[[Term], Optional[Term]]) -> Callable[[Term], Optional[tuple[str, Term]]]:
+    """A step for a small-step relation whose every step is a beta."""
+
+    def step(t: Term) -> Optional[tuple[str, Term]]:
+        nxt = fn(t)
+        return None if nxt is None else ("beta", nxt)
+
+    return step
+
+
+def _no_step(t: Term) -> None:
+    # A big-step engine reduces in Engine.bigstep, never through step.
+    return None
+
+
+def _done(t: Term) -> tuple[str, Term]:
+    # A small-step engine halts on a term, which is its own readback.
+    return "done", t
+
+
+def _machine_readback(step_fn, render) -> Callable[[object, Emit, Optional[int]], Term]:
+    """The one readback driver: apply `step_fn` until it says ("done", term).
+
+    The term must be pure: a Proj or Index left in it means the run reached
+    an illegal state, and that raises IllegalStateError.  bench/layers.py
+    rebuilds this closure around a timed printer: it finds the inner
+    function by its qualname and reads `step_fn` and `render` off its free
+    variables, so the driver keeps exactly these two parameters.
+    """
+
+    def readback(state, emit: Emit, budget: Optional[int]) -> Term:
+        while True:
+            rule, nxt = step_fn(state)
+            if rule == "done":
+                if not is_pure(nxt):
+                    raise IllegalStateError(f"projection or index survived readback: {print_term(nxt)}")
+                emit("done", print_term(nxt))
+                return nxt
+            state = nxt
+            emit(rule, render(state))
+
+    return readback
+
+
+_term_readback = _machine_readback(_done, print_term)
+
+
+# --- state measures -------------------------------------------------------------
+
+
 def _plugged_metrics(term: Term, args: Iterable[Term], binders: int) -> tuple[int, int]:
     size, depth = term_metrics(term)
     for arg in args:
@@ -154,75 +233,14 @@ def _plugged_metrics(term: Term, args: Iterable[Term], binders: int) -> tuple[in
     return size + binders, depth + binders
 
 
-def _machine_readback(step_fn, render) -> Callable[[object, Emit, Optional[int]], Term]:
-    def readback(state, emit: Emit, budget: Optional[int]) -> Term:
-        while True:
-            rule, nxt = step_fn(state)
-            if rule == "done":
-                emit("done", print_term(nxt))
-                return nxt
-            state = nxt
-            emit(rule, render(state))
-
-    return readback
-
-
-def _smallstep_readback(state, emit: Emit, budget: Optional[int]) -> Term:
-    emit("done", print_term(state))
-    return state
-
-
-def _always_normal(state) -> tuple[str, str]:
-    return "normal", ""
-
-
-# --- weak-head engines -----------------------------------------------------
-
-
-def _wh_os_step(t: Term) -> Optional[tuple[str, Term]]:
-    nxt = weakhead.step_wh_os(t)
-    return None if nxt is None else ("beta", nxt)
-
-
-def _krivine_halt(c: weakhead.KCommand) -> tuple[str, str]:
-    if weakhead.krivine_terminal(c):
-        return "normal", ""
-    return "stuck", "no transition applies"
-
-
 def _k_metrics(c: weakhead.KCommand) -> tuple[int, int]:
-    args = []
-    stack = c.stack
-    while isinstance(stack, weakhead.KPush):
-        args.append(stack.arg)
-        stack = stack.rest
+    args, _ = split_stack(c.stack, weakhead.KPush)
     return _plugged_metrics(c.term, args, 0)
 
 
-def _k_readback_driver(c, emit: Emit, budget: Optional[int]) -> Term:
-    return _machine_readback(weakhead.krivine_readback_step, print_state)(c, emit, budget)
-
-
-# --- projection / coalesced engines ----------------------------------------
-
-
-def _proj_halt(c: projection.PCommand) -> tuple[str, str]:
-    if projection.proj_terminal(c):
-        return "normal", ""
-    return "stuck", "no transition applies"
-
-
 def _p_metrics(c: projection.PCommand) -> tuple[int, int]:
-    args, stuck = projection.split_pcoterm(c.coterm)
+    args, stuck = split_stack(c.coterm, projection.PPush)
     return _plugged_metrics(c.term, args, stuck.depth)
-
-
-def _derived_step(t: projection.TopTerm):
-    return projection.derived_step(t)
-
-
-def _top_halt(t) -> tuple[str, str]:
-    return "normal", ""
 
 
 def _top_metrics(t: projection.TopTerm) -> tuple[int, int]:
@@ -230,56 +248,14 @@ def _top_metrics(t: projection.TopTerm) -> tuple[int, int]:
     return size + t.binders, depth + t.binders
 
 
-def _derived_readback(t: projection.TopTerm, emit: Emit, budget: Optional[int]) -> Term:
-    while True:
-        step = projection.derived_readback_step(t)
-        if step is None:
-            break
-        rule, t = step
-        emit(rule, print_state(t))
-    if projection.collect_indices(t.body):
-        raise IllegalStateError("index survived readback")
-    emit("done", print_term(t.body))
-    return t.body
-
-
 def _dtop_metrics(t: coalesced.DTopTerm) -> tuple[int, int]:
     size, depth = term_metrics(t.body)
     return size + t.prefix, depth + t.prefix
 
 
-def _debruijn_readback(t: coalesced.DTopTerm, emit: Emit, budget: Optional[int]) -> Term:
-    while True:
-        step = coalesced.debruijn_readback_step(t)
-        if step is None:
-            break
-        rule, t = step
-        emit(rule, print_state(t))
-    if projection.collect_indices(t.body):
-        raise IllegalStateError("index survived readback")
-    emit("done", print_term(t.body))
-    return t.body
-
-
-# --- abs-frame head machine -------------------------------------------------
-
-
-def _abs_halt(c: headsimple.HCommand) -> tuple[str, str]:
-    if headsimple.abs_terminal(c):
-        return "normal", ""
-    return "stuck", "no transition applies"
-
-
 def _h_metrics(c: headsimple.HCommand) -> tuple[int, int]:
-    args = []
-    coterm = c.coterm
-    while isinstance(coterm, headsimple.HPush):
-        args.append(coterm.arg)
-        coterm = coterm.rest
-    return _plugged_metrics(c.term, args, len(coterm.binders))
-
-
-# --- environment machines ----------------------------------------------------
+    args, stuck = split_stack(c.coterm, headsimple.HPush)
+    return _plugged_metrics(c.term, args, len(stuck.binders))
 
 
 def _e_metrics(c: envmachine.ECommand) -> tuple[int, int]:
@@ -292,247 +268,196 @@ def _e_metrics(c: envmachine.ECommand) -> tuple[int, int]:
     return 1, 1
 
 
-def _env_krivine_readback(c: envmachine.ECommand, emit: Emit, budget: Optional[int]) -> Term:
-    # Forcing the focus and every stacked closure turns the state into a
-    # substitution-machine state, whose readback folds any leftover
-    # arguments back on (only open programs leave any).
-    forced = envmachine.as_forced_command(c, budget)
-    return _machine_readback(projection.proj_readback_step, print_state)(forced, emit, budget)
-
-
-def _env_head_readback(c: envmachine.ECommand, emit: Emit, budget: Optional[int]) -> Term:
-    forced = envmachine.as_forced_command(c, budget)
-    state = coalesced.QCommand(forced.term, forced.coterm)
-    return _machine_readback(coalesced.coalesced_readback_step, print_state)(state, emit, budget)
-
-
-def _env_render(c: envmachine.ECommand) -> str:
-    return print_state(c)
-
-
-def _env_head_render(c: envmachine.ECommand) -> str:
-    return print_state(c, env_style="pick")
-
-
-# --- control engines ----------------------------------------------------------
-
-
 def _c_metrics(c: control.CCommand) -> tuple[int, int]:
     return c.size, 1
+
+
+# --- environment and control engines ------------------------------------------
+
+
+def _env_readback(state_cls, step_fn) -> Callable[[object, Emit, Optional[int]], Term]:
+    """Readback of an environment machine.  Forcing the focus and every
+    stacked closure turns the state into a substitution-machine state of
+    type `state_cls`, whose readback folds any leftover arguments back on
+    (only open programs leave any)."""
+
+    def readback(c: envmachine.ECommand, emit: Emit, budget: Optional[int]) -> Term:
+        forced = envmachine.as_forced_command(c, budget)
+        state = state_cls(forced.term, forced.coterm)
+        return _machine_readback(step_fn, print_state)(state, emit, budget)
+
+    return readback
 
 
 def _control_load(t: Term) -> control.CCommand:
     return control.control_load(control.embed_term(t))
 
 
-def _control_plain_halt(c: control.CCommand) -> tuple[str, str]:
-    return control.control_halt(c, projective=False)
+def _control_readback(view, step_fn) -> Callable[[object, Emit, Optional[int]], Term]:
+    """Readback of a control machine: `view` reads its state as a state of
+    the substitution machine it simulates, and that machine reads back."""
 
+    def readback(c: control.CCommand, emit: Emit, budget: Optional[int]) -> Term:
+        return _machine_readback(step_fn, print_state)(view(c), emit, budget)
 
-def _control_proj_halt(c: control.CCommand) -> tuple[str, str]:
-    return control.control_halt(c, projective=True)
-
-
-def _control_krivine_readback(c: control.CCommand, emit: Emit, budget: Optional[int]) -> Term:
-    state = control.as_krivine_command(c)
-    return _machine_readback(weakhead.krivine_readback_step, print_state)(state, emit, budget)
-
-
-def _control_proj_readback(c: control.CCommand, emit: Emit, budget: Optional[int]) -> Term:
-    state = control.as_projection_command(c)
-    return _machine_readback(projection.proj_readback_step, print_state)(state, emit, budget)
+    return readback
 
 
 # --- registry -----------------------------------------------------------------
 
-
-def _term_step_engine(name, strategy, description, step_fn) -> Engine:
-    return Engine(
-        name=name,
-        strategy=strategy,
-        description=description,
-        load=lambda t: t,
-        step=step_fn,
-        halt=_always_normal,
-        readback=_smallstep_readback,
+# Fields left out take the Engine defaults: load is the identity, halt
+# calls every halting state normal, and states render with print_state.
+ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
+    Engine(
+        name="wh-os",
+        strategy="weak-head",
+        description="contextual small-step weak-head reduction",
+        step=_beta_step(weakhead.step_wh_os),
+        readback=_term_readback,
         render=print_term,
         metrics=term_metrics,
-    )
-
-
-def _bigstep_engine(name, strategy, description, fn) -> Engine:
-    return Engine(
-        name=name,
-        strategy=strategy,
-        description=description,
-        load=lambda t: t,
-        step=lambda s: None,
-        halt=_always_normal,
-        readback=_smallstep_readback,
+    ),
+    Engine(
+        name="krivine",
+        strategy="weak-head",
+        description="Krivine machine, substitution-based call stack",
+        load=weakhead.krivine_load,
+        step=weakhead.krivine_step,
+        halt=_halt_unless(weakhead.krivine_terminal),
+        readback=_machine_readback(weakhead.krivine_readback_step, print_state),
+        metrics=_k_metrics,
+    ),
+    Engine(
+        name="wh-bigstep",
+        strategy="weak-head",
+        description="big-step weak-head evaluator",
+        step=_no_step,
+        readback=_term_readback,
         render=print_term,
         metrics=term_metrics,
-        bigstep=fn,
-    )
-
-
-ENGINES: dict[str, Engine] = {}
-
-
-def _register(engine: Engine) -> None:
-    ENGINES[engine.name] = engine
-
-
-_register(_term_step_engine(
-    "wh-os", "weak-head",
-    "contextual small-step weak-head reduction",
-    _wh_os_step,
-))
-
-_register(Engine(
-    name="krivine",
-    strategy="weak-head",
-    description="Krivine machine, substitution-based call stack",
-    load=weakhead.krivine_load,
-    step=weakhead.krivine_step,
-    halt=_krivine_halt,
-    readback=_k_readback_driver,
-    render=print_state,
-    metrics=_k_metrics,
-))
-
-_register(_bigstep_engine(
-    "wh-bigstep", "weak-head",
-    "big-step weak-head evaluator",
-    weakhead.bigstep_wh,
-))
-
-_register(Engine(
-    name="env-krivine",
-    strategy="weak-head",
-    description="Krivine machine with persistent environments and closures",
-    load=envmachine.env_krivine_load,
-    step=envmachine.env_krivine_step,
-    halt=envmachine.env_krivine_halt,
-    readback=_env_krivine_readback,
-    render=_env_render,
-    metrics=_e_metrics,
-    beta_rules=frozenset(("bind",)),
-))
-
-_register(_term_step_engine(
-    "head-os", "head",
-    "small-step head reduction contracting the head redex in place",
-    lambda t: (lambda nxt: None if nxt is None else ("beta", nxt))(headsimple.step_head_os(t)),
-))
-
-_register(Engine(
-    name="head-abs",
-    strategy="head",
-    description="head machine that walks under binders, remembering them in the co-term",
-    load=headsimple.abs_load,
-    step=headsimple.abs_machine_step,
-    halt=_abs_halt,
-    readback=_machine_readback(headsimple.abs_readback_step, print_state),
-    render=print_state,
-    metrics=_h_metrics,
-))
-
-_register(Engine(
-    name="head-proj",
-    strategy="head",
-    description="projection-based head machine over stuck co-terms",
-    load=projection.proj_load,
-    step=projection.proj_step,
-    halt=_proj_halt,
-    readback=_machine_readback(projection.proj_readback_step, print_state),
-    render=print_state,
-    metrics=_p_metrics,
-))
-
-_register(Engine(
-    name="head-os-derived",
-    strategy="head",
-    description="index-form small-step head reduction with an anonymous binder prefix",
-    load=lambda t: projection.TopTerm(0, t),
-    step=_derived_step,
-    halt=_top_halt,
-    readback=_derived_readback,
-    render=print_state,
-    metrics=_top_metrics,
-))
-
-_register(Engine(
-    name="head-coalesced",
-    strategy="head",
-    description="head machine with projection chains coalesced into numeric offsets",
-    load=coalesced.coalesced_load,
-    step=coalesced.coalesced_step,
-    halt=lambda c: ("normal", "") if coalesced.coalesced_terminal(c) else ("stuck", "no transition applies"),
-    readback=_machine_readback(coalesced.coalesced_readback_step, print_state),
-    render=print_state,
-    metrics=_p_metrics,
-))
-
-_register(Engine(
-    name="head-debruijn",
-    strategy="head",
-    description="small-step head reduction with a counted top-level binder prefix",
-    load=coalesced.debruijn_load,
-    step=coalesced.debruijn_step,
-    halt=_top_halt,
-    readback=_debruijn_readback,
-    render=print_state,
-    metrics=_dtop_metrics,
-))
-
-_register(_bigstep_engine(
-    "head-bigstep", "head",
-    "big-step head evaluator layered on weak-head evaluation",
-    headsimple.bigstep_h,
-))
-
-_register(_bigstep_engine(
-    "sestoft", "head",
-    "Sestoft-style big-step head evaluator",
-    headsimple.bigstep_sestoft,
-))
-
-_register(Engine(
-    name="env-head",
-    strategy="head",
-    description="coalesced head machine with persistent environments and closures",
-    load=envmachine.env_head_load,
-    step=envmachine.env_head_step,
-    halt=envmachine.env_head_halt,
-    readback=_env_head_readback,
-    render=_env_head_render,
-    metrics=_e_metrics,
-    beta_rules=frozenset(("bind",)),
-))
-
-_register(Engine(
-    name="control-krivine",
-    strategy="control",
-    description="stack machine with context naming and pattern-matching functions",
-    load=_control_load,
-    step=control.control_step,
-    halt=_control_plain_halt,
-    readback=_control_krivine_readback,
-    render=print_state,
-    metrics=_c_metrics,
-))
-
-_register(Engine(
-    name="control-proj",
-    strategy="control",
-    description="control machine that splits stuck co-terms into projections",
-    load=_control_load,
-    step=control.control_proj_step,
-    halt=_control_proj_halt,
-    readback=_control_proj_readback,
-    render=print_state,
-    metrics=_c_metrics,
-))
+        bigstep=weakhead.bigstep_wh,
+    ),
+    Engine(
+        name="env-krivine",
+        strategy="weak-head",
+        description="Krivine machine with persistent environments and closures",
+        load=envmachine.env_krivine_load,
+        step=envmachine.env_krivine_step,
+        halt=envmachine.env_krivine_halt,
+        readback=_env_readback(projection.PCommand, projection.proj_readback_step),
+        metrics=_e_metrics,
+        beta_rules=frozenset(("bind",)),
+    ),
+    Engine(
+        name="head-os",
+        strategy="head",
+        description="small-step head reduction contracting the head redex in place",
+        step=_beta_step(headsimple.step_head_os),
+        readback=_term_readback,
+        render=print_term,
+        metrics=term_metrics,
+    ),
+    Engine(
+        name="head-abs",
+        strategy="head",
+        description="head machine that walks under binders, remembering them in the co-term",
+        load=headsimple.abs_load,
+        step=headsimple.abs_machine_step,
+        halt=_halt_unless(headsimple.abs_terminal),
+        readback=_machine_readback(headsimple.abs_readback_step, print_state),
+        metrics=_h_metrics,
+    ),
+    Engine(
+        name="head-proj",
+        strategy="head",
+        description="projection-based head machine over stuck co-terms",
+        load=projection.proj_load,
+        step=projection.proj_step,
+        halt=_halt_unless(projection.proj_terminal),
+        readback=_machine_readback(projection.proj_readback_step, print_state),
+        metrics=_p_metrics,
+    ),
+    Engine(
+        name="head-os-derived",
+        strategy="head",
+        description="index-form small-step head reduction with an anonymous binder prefix",
+        load=partial(projection.TopTerm, 0),
+        step=projection.derived_step,
+        readback=_machine_readback(projection.derived_readback_step, print_state),
+        metrics=_top_metrics,
+    ),
+    Engine(
+        name="head-coalesced",
+        strategy="head",
+        description="head machine with projection chains coalesced into numeric offsets",
+        load=coalesced.coalesced_load,
+        step=coalesced.coalesced_step,
+        halt=_halt_unless(coalesced.coalesced_terminal),
+        readback=_machine_readback(coalesced.coalesced_readback_step, print_state),
+        metrics=_p_metrics,
+    ),
+    Engine(
+        name="head-debruijn",
+        strategy="head",
+        description="small-step head reduction with a counted top-level binder prefix",
+        load=coalesced.debruijn_load,
+        step=coalesced.debruijn_step,
+        readback=_machine_readback(coalesced.debruijn_readback_step, print_state),
+        metrics=_dtop_metrics,
+    ),
+    Engine(
+        name="head-bigstep",
+        strategy="head",
+        description="big-step head evaluator layered on weak-head evaluation",
+        step=_no_step,
+        readback=_term_readback,
+        render=print_term,
+        metrics=term_metrics,
+        bigstep=headsimple.bigstep_h,
+    ),
+    Engine(
+        name="sestoft",
+        strategy="head",
+        description="Sestoft-style big-step head evaluator",
+        step=_no_step,
+        readback=_term_readback,
+        render=print_term,
+        metrics=term_metrics,
+        bigstep=headsimple.bigstep_sestoft,
+    ),
+    Engine(
+        name="env-head",
+        strategy="head",
+        description="coalesced head machine with persistent environments and closures",
+        load=envmachine.env_head_load,
+        step=envmachine.env_head_step,
+        halt=envmachine.env_head_halt,
+        readback=_env_readback(coalesced.QCommand, coalesced.coalesced_readback_step),
+        render=partial(print_state, env_style="pick"),
+        metrics=_e_metrics,
+        beta_rules=frozenset(("bind",)),
+    ),
+    Engine(
+        name="control-krivine",
+        strategy="control",
+        description="stack machine with context naming and pattern-matching functions",
+        load=_control_load,
+        step=control.control_step,
+        halt=partial(control.control_halt, projective=False),
+        readback=_control_readback(control.as_krivine_command, weakhead.krivine_readback_step),
+        metrics=_c_metrics,
+    ),
+    Engine(
+        name="control-proj",
+        strategy="control",
+        description="control machine that splits stuck co-terms into projections",
+        load=_control_load,
+        step=control.control_proj_step,
+        halt=partial(control.control_halt, projective=True),
+        readback=_control_readback(control.as_projection_command, projection.proj_readback_step),
+        metrics=_c_metrics,
+    ),
+)}
 
 WH_ENGINE_NAMES = tuple(n for n, e in ENGINES.items() if e.strategy == "weak-head")
 HEAD_ENGINE_NAMES = tuple(n for n, e in ENGINES.items() if e.strategy == "head")

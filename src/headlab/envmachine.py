@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .syntax import App, Lam, Proj, Term, Var, all_names, fresh, subst
+from .syntax import App, Lam, Proj, Term, Var, all_names, fresh, split_stack, subst
 from .projection import PCommand, PPush, PStuck, PCoTerm
 
 __all__ = [
@@ -234,12 +234,8 @@ def force(closure: Closure, max_nodes: Optional[int] = None) -> Term:
 def as_forced_command(c: ECommand, max_nodes: Optional[int] = None) -> PCommand:
     """Force the focus and every stacked closure, yielding a state of the
     substitution-based head machine for readback and comparison."""
-    coterm = c.coterm
-    args: list[Closure] = []
-    while isinstance(coterm, EPush):
-        args.append(coterm.arg)
-        coterm = coterm.rest
-    forced: PCoTerm = PStuck(coterm.depth)
+    args, stuck = split_stack(c.coterm, EPush)
+    forced: PCoTerm = PStuck(stuck.depth)
     for arg in reversed(args):
         forced = PPush(force(arg, max_nodes), forced)
     return PCommand(force(Closure(c.term, c.env), max_nodes), forced)

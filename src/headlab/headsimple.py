@@ -29,7 +29,6 @@ __all__ = [
     "abs_machine_step",
     "abs_terminal",
     "abs_readback_step",
-    "abs_readback",
     "bigstep_h",
     "bigstep_sestoft",
 ]
@@ -131,16 +130,6 @@ def abs_readback_step(c: HCommand) -> tuple[str, Union[HCommand, Term]]:
             return "lambda", HCommand(Lam(binders[0], c.term), HStuck(binders[1:]))
         case _:
             return "done", c.term
-
-
-def abs_readback(c: HCommand) -> Term:
-    while True:
-        rule, nxt = abs_readback_step(c)
-        if rule == "done":
-            assert not isinstance(nxt, HCommand)
-            return nxt
-        assert isinstance(nxt, HCommand)
-        c = nxt
 
 
 def bigstep_h(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) -> Term:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Union
 
 from . import coalesced, control, envmachine, headsimple, projection, weakhead
-from .syntax import App, Index, Lam, Proj, Term, Var
+from .syntax import App, Index, Lam, Proj, Term, Var, split_stack
 
 __all__ = ["print_term", "print_state"]
 
@@ -56,36 +56,22 @@ def print_term(t: Term, proj_style: str = "car") -> str:
 
 
 def _k_coterm(e: weakhead.KCoTerm) -> str:
-    parts = []
-    while isinstance(e, weakhead.KPush):
-        parts.append(_term(e.arg, _ARG, "car"))
-        e = e.rest
-    parts.append("tp")
-    return " . ".join(parts)
+    args, _ = split_stack(e, weakhead.KPush)
+    return " . ".join([*(_term(arg, _ARG, "car") for arg in args), "tp"])
 
 
 def _p_coterm(e: projection.PCoTerm, style: str) -> str:
-    parts = []
-    while isinstance(e, projection.PPush):
-        parts.append(_term(e.arg, _ARG, style))
-        e = e.rest
-    if style == "pick":
-        parts.append(f"drop {e.depth} tp")
-    else:
-        parts.append(_cdr_chain(e.depth))
-    return " . ".join(parts)
+    args, stuck = split_stack(e, projection.PPush)
+    tail = f"drop {stuck.depth} tp" if style == "pick" else _cdr_chain(stuck.depth)
+    return " . ".join([*(_term(arg, _ARG, style) for arg in args), tail])
 
 
 def _h_coterm(e: headsimple.HCoTerm) -> str:
-    parts = []
-    while isinstance(e, headsimple.HPush):
-        parts.append(_term(e.arg, _ARG, "car"))
-        e = e.rest
-    stuck = "tp"
-    for name in reversed(e.binders):
-        stuck = f"Abs({name}, {stuck})"
-    parts.append(stuck)
-    return " . ".join(parts)
+    args, stuck = split_stack(e, headsimple.HPush)
+    tail = "tp"
+    for name in reversed(stuck.binders):
+        tail = f"Abs({name}, {tail})"
+    return " . ".join([*(_term(arg, _ARG, "car") for arg in args), tail])
 
 
 def _c_term(t: control.CTerm, pos: int) -> str:
@@ -106,15 +92,9 @@ def _c_term(t: control.CTerm, pos: int) -> str:
 
 
 def _c_coterm(e: control.CCoTerm) -> str:
-    parts = []
-    while isinstance(e, control.CPush):
-        parts.append(_c_term(e.arg, _ARG))
-        e = e.rest
-    if isinstance(e, control.CoVar):
-        parts.append(e.name)
-    else:
-        parts.append(_cdr_chain(e.depth))
-    return " . ".join(parts)
+    args, tail = split_stack(e, control.CPush)
+    text = tail.name if isinstance(tail, control.CoVar) else _cdr_chain(tail.depth)
+    return " . ".join([*(_c_term(arg, _ARG) for arg in args), text])
 
 
 def _c_command(c: control.CCommand) -> str:
@@ -138,17 +118,9 @@ def _closure(c: envmachine.Closure, depth: int, style: str) -> str:
 
 
 def _e_coterm(e: envmachine.ECoTerm, style: str) -> str:
-    parts = []
-    while isinstance(e, envmachine.EPush):
-        parts.append(_closure(e.arg, 1, style))
-        e = e.rest
-    if style == "pick":
-        parts.append(f"drop {e.depth} tp")
-    elif e.depth == 0:
-        parts.append("tp")
-    else:
-        parts.append(_cdr_chain(e.depth))
-    return " . ".join(parts)
+    args, stuck = split_stack(e, envmachine.EPush)
+    tail = f"drop {stuck.depth} tp" if style == "pick" else _cdr_chain(stuck.depth)
+    return " . ".join([*(_closure(arg, 1, style) for arg in args), tail])
 
 
 State = Union[

@@ -6,6 +6,11 @@ variable, and the index-form small-step semantics obtained by treating
 those projections as references to a prefix of anonymous top-level
 binders.  The star/hash translations connect the index form to the plain
 named small-step semantics and are property-tested as inverses.
+
+Each artifact has a readback step that ends in ("done", term); the
+engines' one driver (`engines._machine_readback`) runs it to the end and
+checks that no projection or index is left.  `translate_star` runs the
+index form's readback on its own, because it is the paper's translation.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from .syntax import (
     Term,
     Var,
     all_names,
+    atoms,
     canonical_binder,
     fresh,
     is_pure,
+    replace_atom,
+    split_stack,
     subst,
 )
 from .weakhead import decompose_wh, plug
@@ -38,17 +46,11 @@ __all__ = [
     "proj_load",
     "proj_step",
     "proj_terminal",
-    "replace_projection",
     "proj_readback_step",
-    "proj_readback",
     "is_legal_proj",
-    "split_pcoterm",
     "TopTerm",
     "derived_step",
     "derived_readback_step",
-    "derived_readback",
-    "replace_index",
-    "collect_indices",
     "is_legal_top",
     "translate_star",
     "translate_hash",
@@ -107,23 +109,6 @@ def proj_terminal(c: PCommand) -> bool:
     return isinstance(c.term, (Var, Proj))
 
 
-def replace_projection(v: Term, depth: int, x: str) -> Term:
-    """Turn every Proj(depth) in v into Var(x); other projections stay.
-
-    Plain structural replacement: the caller guarantees x is fresh for v,
-    including its binders, so no capture checks are needed.
-    """
-    match v:
-        case Proj(d) if d == depth:
-            return Var(x)
-        case App(fun, arg):
-            return App(replace_projection(fun, depth, x), replace_projection(arg, depth, x))
-        case Lam(binder, body):
-            return Lam(binder, replace_projection(body, depth, x))
-        case _:
-            return v
-
-
 def proj_readback_step(c: PCommand) -> tuple[str, Union[PCommand, Term]]:
     """One readback move: fold a pushed argument back into an application,
     or reverse one projection step by reintroducing a lambda whose binder
@@ -134,54 +119,17 @@ def proj_readback_step(c: PCommand) -> tuple[str, Union[PCommand, Term]]:
         case PStuck(depth) if depth > 0:
             hint = canonical_binder(depth - 1)
             x = fresh(all_names(c.term), hint)
-            body = replace_projection(c.term, depth - 1, x)
+            body = replace_atom(c.term, Proj(depth - 1), x)
             return "lambda", PCommand(Lam(x, body), PStuck(depth - 1))
         case _:
             return "done", c.term
 
 
-def proj_readback(c: PCommand) -> Term:
-    while True:
-        rule, nxt = proj_readback_step(c)
-        if rule == "done":
-            assert not isinstance(nxt, PCommand)
-            if not is_pure(nxt):
-                raise IllegalStateError(f"projection survived readback: {nxt!r}")
-            return nxt
-        assert isinstance(nxt, PCommand)
-        c = nxt
-
-
-def split_pcoterm(coterm: PCoTerm) -> tuple[tuple[Term, ...], PStuck]:
-    """Peel the pushed arguments off a co-term, top of stack first."""
-    args: list[Term] = []
-    while isinstance(coterm, PPush):
-        args.append(coterm.arg)
-        coterm = coterm.rest
-    return tuple(args), coterm
-
-
-def _max_proj_depth(t: Term) -> int:
-    """Largest projection depth occurring in t, or -1 when there is none."""
-    match t:
-        case Proj(depth):
-            return depth
-        case App(fun, arg):
-            return max(_max_proj_depth(fun), _max_proj_depth(arg))
-        case Lam(_, body):
-            return _max_proj_depth(body)
-        case _:
-            return -1
-
-
 def is_legal_proj(c: PCommand) -> bool:
     """Every projection in the focused term or a stacked argument must
     reach strictly less deep than the terminating stuck co-term."""
-    args, stuck = split_pcoterm(c.coterm)
-    bound = stuck.depth
-    if _max_proj_depth(c.term) >= bound:
-        return False
-    return all(_max_proj_depth(a) < bound for a in args)
+    args, stuck = split_stack(c.coterm, PPush)
+    return all(p.depth < stuck.depth for t in (c.term, *args) for p in atoms(t, Proj))
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,58 +160,29 @@ def derived_step(t: TopTerm) -> Optional[tuple[str, TopTerm]]:
     return "beta", TopTerm(t.binders, contracted)
 
 
-def replace_index(v: Term, value: int, x: str) -> Term:
-    match v:
-        case Index(i) if i == value:
-            return Var(x)
-        case App(fun, arg):
-            return App(replace_index(fun, value, x), replace_index(arg, value, x))
-        case Lam(binder, body):
-            return Lam(binder, replace_index(body, value, x))
-        case _:
-            return v
-
-
-def collect_indices(v: Term) -> frozenset[int]:
-    match v:
-        case Index(i):
-            return frozenset((i,))
-        case App(fun, arg):
-            return collect_indices(fun) | collect_indices(arg)
-        case Lam(_, body):
-            return collect_indices(body)
-        case _:
-            return frozenset()
-
-
 def is_legal_top(t: TopTerm) -> bool:
-    return all(i < t.binders for i in collect_indices(t.body))
+    return all(i.value < t.binders for i in atoms(t.body, Index))
 
 
-def derived_readback_step(t: TopTerm) -> Optional[tuple[str, TopTerm]]:
+def derived_readback_step(t: TopTerm) -> tuple[str, Union[TopTerm, Term]]:
     """Name the innermost anonymous binder.  With k - 1 binders left, the
-    freed index is k - 1 and the fresh name wraps the body."""
+    freed index is k - 1 and the fresh name wraps the body; with none left
+    the body is the result."""
     if t.binders == 0:
-        return None
+        return "done", t.body
     k = t.binders - 1
     x = fresh(all_names(t.body), canonical_binder(k))
-    return "name", TopTerm(k, Lam(x, replace_index(t.body, k, x)))
-
-
-def derived_readback(t: TopTerm) -> Term:
-    while True:
-        step = derived_readback_step(t)
-        if step is None:
-            break
-        _, t = step
-    if collect_indices(t.body):
-        raise IllegalStateError(f"index survived readback: {t.body!r}")
-    return t.body
+    return "name", TopTerm(k, Lam(x, replace_atom(t.body, Index(k), x)))
 
 
 def translate_star(t: TopTerm) -> Term:
     """Normal form of the readback relation: name every anonymous binder."""
-    return derived_readback(t)
+    while True:
+        rule, t = derived_readback_step(t)
+        if rule == "done":
+            if not is_pure(t):
+                raise IllegalStateError(f"index survived readback: {t!r}")
+            return t
 
 
 def translate_hash(v: Term) -> TopTerm:

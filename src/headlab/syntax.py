@@ -39,8 +39,11 @@ __all__ = [
     "alpha_eq",
     "spine",
     "strip_binders",
+    "split_stack",
     "classify",
     "is_pure",
+    "replace_atom",
+    "atoms",
     "term_metrics",
 ]
 
@@ -278,6 +281,19 @@ def strip_binders(t: Term) -> tuple[tuple[str, ...], Term]:
     return tuple(binders), t
 
 
+def split_stack(coterm, push: type) -> tuple[list, object]:
+    """Peel the pushed arguments off a machine's co-term, top of stack first.
+
+    `push` is that machine's push frame, a class with `arg` and `rest`.
+    Returns the arguments and what is left under the last push.
+    """
+    args = []
+    while isinstance(coterm, push):
+        args.append(coterm.arg)
+        coterm = coterm.rest
+    return args, coterm
+
+
 def classify(t: Term) -> NormalFormClass:
     """Total, mutually exclusive normal-form classification.
 
@@ -310,6 +326,33 @@ def is_pure(t: Term) -> bool:
             return is_pure(body)
         case _:
             return False
+
+
+def replace_atom(t: Term, atom: Union[Proj, Index], x: str) -> Term:
+    """Turn every occurrence of `atom` in t into Var(x); other atoms stay.
+
+    Proj(n) and Index(n) are different atoms.  Plain structural
+    replacement: the caller guarantees x is fresh for t, including its
+    binders, so no capture checks are needed.
+    """
+    match t:
+        case App(fun, arg):
+            return App(replace_atom(fun, atom, x), replace_atom(arg, atom, x))
+        case Lam(binder, body):
+            return Lam(binder, replace_atom(body, atom, x))
+        case _:
+            return Var(x) if t == atom else t
+
+
+def atoms(t: Term, kind: type) -> frozenset:
+    """Every atom of type `kind` (Proj or Index) occurring in t."""
+    match t:
+        case App(fun, arg):
+            return atoms(fun, kind) | atoms(arg, kind)
+        case Lam(_, body):
+            return atoms(body, kind)
+        case _:
+            return frozenset((t,)) if isinstance(t, kind) else frozenset()
 
 
 def term_metrics(t: Term) -> tuple[int, int]:

@@ -36,7 +36,6 @@ __all__ = [
     "krivine_step",
     "krivine_terminal",
     "krivine_readback_step",
-    "krivine_readback",
     "bigstep_wh",
 ]
 
@@ -131,16 +130,6 @@ def krivine_readback_step(c: KCommand) -> tuple[str, Union[KCommand, Term]]:
             return "pop", KCommand(App(c.term, arg), rest)
         case _:
             return "done", c.term
-
-
-def krivine_readback(c: KCommand) -> Term:
-    while True:
-        rule, nxt = krivine_readback_step(c)
-        if rule == "done":
-            assert not isinstance(nxt, KCommand)
-            return nxt
-        assert isinstance(nxt, KCommand)
-        c = nxt
 
 
 def bigstep_wh(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) -> Term:

@@ -6,8 +6,9 @@ sys.setrecursionlimit(30_000)
 
 import pytest
 
-from headlab.engines import CONTROL_ENGINE_NAMES, HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, evaluate
+from headlab.engines import CONTROL_ENGINE_NAMES, HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, engine_names, evaluate
 from headlab.gen import GenConfig, gen_terms
+from helpers import TRACE_FUEL, TRACE_TERMS
 
 # The corpus the acceptance criteria run on: fixed seed, size bound 30.
 CORPUS_SEED = 20250
@@ -53,4 +54,14 @@ def control_outcomes(corpus1000):
     return {
         name: [evaluate(t, name, CORPUS_FUEL)[0] for t in corpus1000]
         for name in CONTROL_ENGINE_NAMES
+    }
+
+
+@pytest.fixture(scope="session")
+def golden_traces(corpus1000):
+    """Trace of every engine on the corpus terms tests/golden_outcomes.json
+    pins the traces of."""
+    return {
+        name: [evaluate(t, name, TRACE_FUEL, trace=True)[1] for t in corpus1000[:TRACE_TERMS]]
+        for name in engine_names()
     }

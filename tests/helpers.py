@@ -1,8 +1,10 @@
 """Shared test utilities: independent oracles and small generators.
 
-Everything here is deliberately written from scratch against the
-definitions rather than by calling the code under test, so the tests
-that use these functions are actual cross-checks.
+The oracles and generators are deliberately written from scratch against
+the definitions rather than by calling the code under test, so the tests
+that use them are actual cross-checks.  The last two sections drive the
+code under test: `read_back` runs the engines' readback driver, and the
+fingerprints digest what the engines return.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import json
 import random
 
 from headlab.control import CApp, CarS, Case, CCommand, CoVar, CPush, CStuckCo, CVar, Mu
+from headlab.engines import _machine_readback
+from headlab.pretty import print_state, print_term
 from headlab.projection import TopTerm
 from headlab.syntax import App, Index, Lam, Proj, Term, Var
 
@@ -164,9 +168,27 @@ def gen_top_term(rng: random.Random, binders: int, size: int) -> TopTerm:
 
 
 # ---------------------------------------------------------------------------
+# Readback of a single machine state, through the driver every engine uses.
+
+
+def read_back(step_fn, state) -> Term:
+    """Apply a readback step function to `state` until it is done, with the
+    engines' one readback driver, and return the term it reads back."""
+    return _machine_readback(step_fn, print_state)(state, lambda rule, rendering: None, None)
+
+
+# ---------------------------------------------------------------------------
 # Outcome fingerprint: what the growth guard decided on a corpus, in a form
 # small enough to commit.  `tests/golden_outcomes.json` holds the
-# fingerprint of every weak-head and head engine over the 1000-term corpus.
+# fingerprint of every engine over the 1000-term corpus, plus a digest of
+# its traces on the first TRACE_TERMS corpus terms at TRACE_FUEL.
+
+TRACE_TERMS = 40
+TRACE_FUEL = 200
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
 
 
 def outcome_key(outcome) -> tuple[str, str, int | None]:
@@ -176,15 +198,33 @@ def outcome_key(outcome) -> tuple[str, str, int | None]:
     return kind, reason, getattr(outcome, "betas", None)
 
 
+def outcome_record(outcome) -> tuple:
+    """(kind, printed result or last_state, steps, betas, reason) of an
+    Outcome: everything it says, with None where its kind has no field."""
+    kind = type(outcome).__name__
+    shown = print_term(outcome.result) if kind == "Normal" else outcome.last_state
+    return kind, shown, getattr(outcome, "steps", None), getattr(outcome, "betas", None), getattr(outcome, "reason", "")
+
+
 def outcome_fingerprint(outcomes) -> dict:
     keys = [outcome_key(o) for o in outcomes]
     counts: dict[str, int] = {}
     for kind, reason, _ in keys:
         label = f"{kind}/{reason}"
         counts[label] = counts.get(label, 0) + 1
-    digest = hashlib.sha256(json.dumps(keys).encode("utf-8")).hexdigest()
     return {
         "counts": dict(sorted(counts.items())),
         "betas": sum(b for _, _, b in keys if b is not None),
-        "sha256": digest,
+        "sha256": _sha256(keys),
+        "outcomes_sha256": _sha256([outcome_record(o) for o in outcomes]),
     }
+
+
+def trace_digest(traces) -> str:
+    """sha256 of every event (step, phase, rule, state) of each trace."""
+    return _sha256([[(e.step, e.phase, e.rule, e.state) for e in tr.events] for tr in traces])
+
+
+def golden_entry(outcomes, traces) -> dict:
+    """One engine's entry of tests/golden_outcomes.json."""
+    return {**outcome_fingerprint(outcomes), "trace_sha256": trace_digest(traces)}

@@ -4,9 +4,13 @@ engine (weak-head, head and control) over the 1000-term acceptance corpus.
     python tests/make_golden_outcomes.py           # rewrite the file
     python tests/make_golden_outcomes.py --check   # compare, write nothing
 
-The file pins which runs hit a guard, which guard, and at which beta.  A
-change that only makes the guard's measures cheaper must leave it as it
-is, so regenerate it only for a change that means to move an outcome.
+The file pins which runs hit a guard, which guard, and at which beta
+(`counts`, `betas`, `sha256`); every run's whole outcome, printed result
+or last state and step count included (`outcomes_sha256`); and every event
+of the engine's traces on the first 40 corpus terms at fuel 200
+(`trace_sha256`).  A change that only makes the engines cheaper or their
+plumbing smaller must leave it as it is, so regenerate it only for a
+change that means to move an outcome or a trace.
 `--check` recomputes every fingerprint, prints each engine whose
 fingerprint differs from the file, and exits 1 if any does.
 """
@@ -21,7 +25,7 @@ GOLDEN = HERE / "golden_outcomes.json"
 sys.path.insert(0, str(HERE))
 
 from conftest import CORPUS_FUEL, CORPUS_SEED  # noqa: E402  (also puts src/ on sys.path)
-from helpers import outcome_fingerprint  # noqa: E402
+from helpers import TRACE_FUEL, TRACE_TERMS, golden_entry  # noqa: E402
 
 from headlab.engines import engine_names, evaluate  # noqa: E402
 from headlab.gen import GenConfig, gen_terms  # noqa: E402
@@ -32,7 +36,8 @@ def fingerprints() -> dict:
     golden = {}
     for name in engine_names():
         outcomes = [evaluate(t, name, CORPUS_FUEL)[0] for t in corpus]
-        golden[name] = outcome_fingerprint(outcomes)
+        traces = [evaluate(t, name, TRACE_FUEL, trace=True)[1] for t in corpus[:TRACE_TERMS]]
+        golden[name] = golden_entry(outcomes, traces)
         print(name, golden[name]["counts"], flush=True)
     return golden
 

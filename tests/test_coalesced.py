@@ -6,12 +6,11 @@ from headlab.coalesced import (
     QCommand,
     as_projection_command,
     coalesced_load,
-    coalesced_readback,
     coalesced_readback_step,
     coalesced_step,
     coalesced_terminal,
     debruijn_load,
-    debruijn_readback,
+    debruijn_readback_step,
     debruijn_step,
     is_legal_dtop,
 )
@@ -25,6 +24,7 @@ from headlab.projection import (
     proj_step,
 )
 from headlab.syntax import App, Index, Lam, Proj, Var, alpha_eq
+from helpers import read_back
 
 
 def T(src):
@@ -41,7 +41,7 @@ class TestCoalescedMachine:
         rule3, s3 = coalesced_step(s2)
         assert (rule3, s3) == ("beta", QCommand(Proj(0), PStuck(1)))
         assert coalesced_terminal(s3)
-        assert coalesced_readback(s3) == T(r"\x.x")
+        assert read_back(coalesced_readback_step, s3) == T(r"\x.x")
 
     def test_plain_beta_identical_to_krivine(self):
         state = QCommand(T(r"\x.x"), PPush(Var("y"), PStuck(0)))
@@ -49,7 +49,7 @@ class TestCoalescedMachine:
         assert (rule, nxt) == ("beta", QCommand(Var("y"), PStuck(0)))
 
     def test_readback_offsets(self):
-        assert coalesced_readback(QCommand(Var("x"), PStuck(0))) == Var("x")
+        assert read_back(coalesced_readback_step, QCommand(Var("x"), PStuck(0))) == Var("x")
         # Offset 0 is the first binder projected away, the outermost one;
         # the oracle is the machine's own run on the expected head normal
         # form, which terminates exactly at the state being read back.
@@ -62,8 +62,8 @@ class TestCoalescedMachine:
                 break
             state = nxt[1]
         assert state == QCommand(Proj(0), PStuck(2))
-        assert alpha_eq(coalesced_readback(QCommand(Proj(0), PStuck(2))), expected)
-        assert alpha_eq(coalesced_readback(QCommand(Proj(1), PStuck(2))), T(r"\a.\b.b"))
+        assert alpha_eq(read_back(coalesced_readback_step, QCommand(Proj(0), PStuck(2))), expected)
+        assert alpha_eq(read_back(coalesced_readback_step, QCommand(Proj(1), PStuck(2))), T(r"\a.\b.b"))
 
 
 class TestLockstepWithChainMachine:
@@ -106,11 +106,11 @@ class TestCountedPrefixSemantics:
         assert debruijn_step(t2) is None
 
     def test_readbacks(self):
-        assert debruijn_readback(DTopTerm(1, Index(0))) == T(r"\x.x")
-        assert debruijn_readback(DTopTerm(0, T("v w"))) == T("v w")
+        assert read_back(debruijn_readback_step, DTopTerm(1, Index(0))) == T(r"\x.x")
+        assert read_back(debruijn_readback_step, DTopTerm(0, T("v w"))) == T("v w")
         # Index 1 names the binder absorbed second (the inner one); the
         # stated round trip pins the convention.
-        assert alpha_eq(debruijn_readback(DTopTerm(2, App(Index(1), Index(0)))), T(r"\a.\b.b a"))
+        assert alpha_eq(read_back(debruijn_readback_step, DTopTerm(2, App(Index(1), Index(0)))), T(r"\a.\b.b a"))
 
     def test_roundtrip_through_absorption(self):
         t = debruijn_load(T(r"\a.\b.a b"))
@@ -118,7 +118,7 @@ class TestCountedPrefixSemantics:
             rule, t = debruijn_step(t)
             assert rule == "absorb"
         assert t == DTopTerm(2, App(Index(0), Index(1)))
-        assert alpha_eq(debruijn_readback(t), T(r"\a.\b.a b"))
+        assert alpha_eq(read_back(debruijn_readback_step, t), T(r"\a.\b.a b"))
 
     def test_legality(self):
         assert is_legal_dtop(DTopTerm(1, Index(0)))
@@ -144,4 +144,4 @@ class TestCountedPrefixSemantics:
                 if rule == "beta":
                     betas += 1
             assert is_legal_dtop(top)
-            assert alpha_eq(debruijn_readback(top), current)
+            assert alpha_eq(read_back(debruijn_readback_step, top), current)

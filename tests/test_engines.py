@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from headlab import coalesced, envmachine, projection, syntax
 from headlab.cli import main
 from headlab.engines import (
     CONTROL_ENGINE_NAMES,
@@ -16,6 +17,7 @@ from headlab.engines import (
     Normal,
     Stuck,
     UnknownEngineError,
+    _machine_readback,
     compare,
     engine_names,
     evaluate,
@@ -24,8 +26,9 @@ from headlab.engines import (
 )
 from headlab.gen import GenConfig, gen_term, gen_terms
 from headlab.parse import parse_term
-from headlab.syntax import Lam, alpha_eq, free_vars, term_metrics
-from helpers import outcome_fingerprint
+from headlab.pretty import print_state
+from headlab.syntax import App, IllegalStateError, Index, Lam, Proj, Var, alpha_eq, free_vars, fresh, term_metrics
+from helpers import golden_entry
 
 
 def T(src):
@@ -118,8 +121,9 @@ class TestEvaluate:
 class TestGoldenOutcomes:
     """Every engine ends each corpus run the way it did when
     tests/golden_outcomes.json was written (by tests/make_golden_outcomes.py):
-    same kind, guard reason and beta count.  This pins the growth guard to
-    fire at the same beta."""
+    same kind, guard reason and beta count, which pins the growth guard to
+    fire at the same beta; the same printed result or last state and step
+    count; and the same trace, event for event, on the first corpus terms."""
 
     GOLDEN = json.loads((Path(__file__).parent / "golden_outcomes.json").read_text(encoding="utf-8"))
 
@@ -128,16 +132,80 @@ class TestGoldenOutcomes:
         assert sorted(self.GOLDEN) == sorted(engine_names())
 
     @pytest.mark.parametrize("name", WH_ENGINE_NAMES)
-    def test_weak_head(self, wh_outcomes, name):
-        assert outcome_fingerprint(wh_outcomes[name]) == self.GOLDEN[name]
+    def test_weak_head(self, wh_outcomes, golden_traces, name):
+        assert golden_entry(wh_outcomes[name], golden_traces[name]) == self.GOLDEN[name]
 
     @pytest.mark.parametrize("name", HEAD_ENGINE_NAMES)
-    def test_head(self, head_outcomes, name):
-        assert outcome_fingerprint(head_outcomes[name]) == self.GOLDEN[name]
+    def test_head(self, head_outcomes, golden_traces, name):
+        assert golden_entry(head_outcomes[name], golden_traces[name]) == self.GOLDEN[name]
 
     @pytest.mark.parametrize("name", CONTROL_ENGINE_NAMES)
-    def test_control(self, control_outcomes, name):
-        assert outcome_fingerprint(control_outcomes[name]) == self.GOLDEN[name]
+    def test_control(self, control_outcomes, golden_traces, name):
+        assert golden_entry(control_outcomes[name], golden_traces[name]) == self.GOLDEN[name]
+
+
+class TestReadbackDriver:
+    """The one readback driver refuses a term that still holds a Proj or an
+    Index: such a term means the run reached an illegal state."""
+
+    # (engine, its readback step, an illegal state, the one rule applied
+    # before the driver finds the leftover atom)
+    ILLEGAL = (
+        ("head-proj", projection.proj_readback_step, projection.PCommand(Proj(5), projection.PStuck(1)), "lambda"),
+        ("head-coalesced", coalesced.coalesced_readback_step, coalesced.QCommand(Proj(5), projection.PStuck(1)), "lambda"),
+        ("head-os-derived", projection.derived_readback_step, projection.TopTerm(1, Index(5)), "name"),
+        ("head-debruijn", coalesced.debruijn_readback_step, coalesced.DTopTerm(1, Index(5)), "name"),
+    )
+
+    @pytest.mark.parametrize("engine, step_fn, state, rule", ILLEGAL)
+    def test_driver_rejects_a_leftover_atom(self, engine, step_fn, state, rule):
+        events = []
+        with pytest.raises(IllegalStateError):
+            _machine_readback(step_fn, print_state)(state, lambda *event: events.append(event), None)
+        assert [r for r, _ in events] == [rule]
+
+    @pytest.mark.parametrize(
+        "engine, state",
+        [(engine, state) for engine, _, state, _ in ILLEGAL]
+        + [(engine, envmachine.ECommand(Proj(5), None, envmachine.EStuck(1))) for engine in ("env-krivine", "env-head")],
+    )
+    def test_engine_readback_rejects_a_leftover_atom(self, engine, state):
+        with pytest.raises(IllegalStateError):
+            get_engine(engine).readback(state, lambda rule, rendering: None, None)
+
+    def test_legal_state_reads_back_and_emits_done(self):
+        events = []
+        state = projection.PCommand(Proj(0), projection.PStuck(1))
+        result = _machine_readback(projection.proj_readback_step, print_state)(
+            state, lambda *event: events.append(event), None
+        )
+        assert result == T(r"\x.x")
+        assert events == [("lambda", r"<\x.x || tp>"), ("done", r"\x.x")]
+
+
+class TestCaptureRenaming:
+    """The corpus is closed, so no run on it takes the renaming branch of
+    subst.  Applied to the free variables y and x, which its binder names
+    capture, the weak-head and head engines do rename, and each group must
+    still agree."""
+
+    def test_applied_corpus_groups_agree(self, corpus120, monkeypatch):
+        renames = []
+
+        def counting_fresh(avoid, hint="x"):
+            renames.append(hint)
+            return fresh(avoid, hint)
+
+        monkeypatch.setattr(syntax, "fresh", counting_fresh)
+        names = WH_ENGINE_NAMES + HEAD_ENGINE_NAMES
+        assert len(names) == 13
+        disagreements = []
+        for term in corpus120:
+            report = compare(App(App(term, Var("y")), Var("x")), names, 1000)
+            if not report.all_agree:
+                disagreements.append((term, report.group_agreement))
+        assert disagreements == []
+        assert len(renames) > 100
 
 
 class TestAdversarialNaming:

@@ -8,7 +8,7 @@ from headlab.headsimple import (
     HStuck,
     abs_load,
     abs_machine_step,
-    abs_readback,
+    abs_readback_step,
     abs_terminal,
     bigstep_h,
     bigstep_sestoft,
@@ -25,6 +25,7 @@ from headlab.syntax import (
     classify,
 )
 from headlab.weakhead import step_wh_os
+from helpers import read_back
 
 
 def T(src):
@@ -119,15 +120,15 @@ class TestAbsMachine:
         rule, nxt = abs_machine_step(HCommand(T(r"\y.y"), HPush(Var("x"), HStuck(("x",)))))
         assert (rule, nxt) == ("beta", HCommand(Var("x"), HStuck(("x",))))
         assert abs_terminal(nxt)
-        assert abs_readback(nxt) == T(r"\x.x")
+        assert read_back(abs_readback_step, nxt) == T(r"\x.x")
         assert step_head_os(T(r"\x.(\y.y) x")) == T(r"\x.x")
 
     def test_readback_examples(self):
-        assert abs_readback(HCommand(Var("x"), HStuck(("x",)))) == T(r"\x.x")
+        assert read_back(abs_readback_step, HCommand(Var("x"), HStuck(("x",)))) == T(r"\x.x")
         state = HCommand(Var("x"), HPush(Var("y"), HStuck(("x",))))
-        assert abs_readback(state) == T(r"\x.x y")
+        assert read_back(abs_readback_step, state) == T(r"\x.x y")
         assert step_head_os(T(r"\x.x y")) is None
-        assert abs_readback(HCommand(T("v w"), HStuck(()))) == T("v w")
+        assert read_back(abs_readback_step, HCommand(T("v w"), HStuck(()))) == T("v w")
 
     def test_shadowed_binders_survive(self):
         # Descending under two binders with the same name must read back
@@ -139,7 +140,7 @@ class TestAbsMachine:
             if nxt is None:
                 break
             state = nxt[1]
-        assert alpha_eq(abs_readback(state), term)
+        assert alpha_eq(read_back(abs_readback_step, state), term)
 
     def test_agrees_with_smallstep_closure(self, corpus300):
         for term in corpus300:
@@ -159,7 +160,7 @@ class TestAbsMachine:
                 state = stepped[1]
             else:
                 continue
-            assert alpha_eq(abs_readback(state), current)
+            assert alpha_eq(read_back(abs_readback_step, state), current)
 
 
 class TestBigStep:

@@ -10,21 +10,19 @@ from headlab.projection import (
     PPush,
     PStuck,
     TopTerm,
-    derived_readback,
+    derived_readback_step,
     derived_step,
     is_legal_proj,
     is_legal_top,
     proj_load,
-    proj_readback,
     proj_readback_step,
     proj_step,
     proj_terminal,
-    replace_projection,
     translate_hash,
     translate_star,
 )
-from headlab.syntax import App, Index, Lam, Proj, Var, alpha_eq
-from helpers import gen_top_term
+from headlab.syntax import App, Index, Lam, Proj, Var, alpha_eq, replace_atom
+from helpers import gen_top_term, read_back
 
 
 def T(src):
@@ -56,17 +54,17 @@ class TestMachineTrace:
 
 class TestReadback:
     def test_worked_trace_tail(self):
-        assert proj_readback(PCommand(Proj(0), PStuck(1))) == T(r"\x.x")
+        assert read_back(proj_readback_step, PCommand(Proj(0), PStuck(1))) == T(r"\x.x")
 
     def test_identity_on_plain_state(self):
-        assert proj_readback(PCommand(Var("x"), PStuck(0))) == Var("x")
+        assert read_back(proj_readback_step, PCommand(Var("x"), PStuck(0))) == Var("x")
 
     def test_two_binder_state(self):
         # <car(cdr tp) || car tp . cdr(cdr tp)> names two binders; the
         # oracle is head reduction itself: the result must be the head
         # normal form \a.\b.b a (offset 0 is the outermost binder).
         state = PCommand(Proj(1), PPush(Proj(0), PStuck(2)))
-        result = proj_readback(state)
+        result = read_back(proj_readback_step, state)
         expected = T(r"\a.\b.b a")
         assert step_head_os(expected) is None
         assert alpha_eq(result, expected)
@@ -75,7 +73,7 @@ class TestReadback:
         # The focused term already binds x over a projection; the fresh
         # binder must dodge it.
         state = PCommand(Lam("x", App(Proj(0), Var("x"))), PStuck(1))
-        result = proj_readback(state)
+        result = read_back(proj_readback_step, state)
         assert alpha_eq(result, T(r"\a.\x.a x"))
 
     def test_single_readback_step_inverts_projection_step(self, corpus120):
@@ -99,14 +97,14 @@ class TestReadback:
 
 class TestReplaceProjection:
     def test_exact_depth(self):
-        assert replace_projection(Proj(0), 0, "x") == Var("x")
+        assert replace_atom(Proj(0), Proj(0), "x") == Var("x")
 
     def test_depth_mismatch(self):
-        assert replace_projection(Proj(1), 0, "x") == Proj(1)
+        assert replace_atom(Proj(1), Proj(0), "x") == Proj(1)
 
     def test_all_occurrences_under_binders(self):
         term = App(Proj(0), Lam("y", Proj(0)))
-        got = replace_projection(term, 0, "x")
+        got = replace_atom(term, Proj(0), "x")
         # Oracle: an independent structural fold.
         def fold(t):
             if t == Proj(0):
@@ -146,18 +144,18 @@ class TestDerivedSmallStep:
         assert derived_step(t2) is None
 
     def test_readback_of_single_index(self):
-        assert derived_readback(TopTerm(1, Index(0))) == T(r"\x.x")
+        assert read_back(derived_readback_step, TopTerm(1, Index(0))) == T(r"\x.x")
 
     def test_readback_plain_body(self):
-        assert derived_readback(TopTerm(0, T("x y"))) == T("x y")
+        assert read_back(derived_readback_step, TopTerm(0, T("x y"))) == T("x y")
 
     def test_readback_two_binders(self):
         # Index 0 is the binder absorbed first, so a body using index 1 at
         # the head reads back with the inner binder applied: the oracle is
         # hashing the expected answer, which is its own absorption fixpoint.
         assert translate_hash(T(r"\a.\b.b a")) == TopTerm(2, App(Index(1), Index(0)))
-        assert alpha_eq(derived_readback(TopTerm(2, App(Index(1), Index(0)))), T(r"\a.\b.b a"))
-        assert alpha_eq(derived_readback(TopTerm(2, App(Index(0), Index(1)))), T(r"\a.\b.a b"))
+        assert alpha_eq(read_back(derived_readback_step, TopTerm(2, App(Index(1), Index(0)))), T(r"\a.\b.b a"))
+        assert alpha_eq(read_back(derived_readback_step, TopTerm(2, App(Index(0), Index(1)))), T(r"\a.\b.a b"))
 
     def test_legality(self):
         assert is_legal_top(TopTerm(1, Index(0)))
@@ -246,4 +244,4 @@ class TestAgainstProjectionMachine:
                     break
                 state = nxt[1]
                 fuel += 1
-            assert alpha_eq(derived_readback(top), proj_readback(state))
+            assert alpha_eq(read_back(derived_readback_step, top), read_back(proj_readback_step, state))

@@ -22,7 +22,7 @@ from headlab.syntax import (
     subst,
     term_metrics,
 )
-from helpers import db_free_names, db_subst, peel, ref_measures, to_db
+from helpers import db_free_names, db_subst, gen_top_term, peel, ref_measures, to_db
 
 
 def T(src):
@@ -244,3 +244,81 @@ class TestFresh:
         second = fresh(avoid, "x")
         assert first == second
         assert first not in avoid
+
+
+class TestAtoms:
+    """replace_atom and atoms: the one replacer and the one collector of the
+    engine-internal Proj and Index atoms."""
+
+    # The cases the projection-only replacer was tested on, as (term, atom,
+    # expected).
+    CASES = (
+        (Proj(0), Proj(0), Var("x")),
+        (Proj(1), Proj(0), Proj(1)),
+        (App(Proj(0), Lam("y", Proj(0))), Proj(0), App(Var("x"), Lam("y", Var("x")))),
+    )
+
+    @pytest.mark.parametrize("term, atom, expected", CASES)
+    def test_replaces_projections(self, term, atom, expected):
+        assert syntax.replace_atom(term, atom, "x") == expected
+
+    @pytest.mark.parametrize("term, atom, expected", CASES)
+    def test_replaces_indices_the_same_way(self, term, atom, expected):
+        def as_index(t):
+            if isinstance(t, Proj):
+                return Index(t.depth)
+            if isinstance(t, App):
+                return App(as_index(t.fun), as_index(t.arg))
+            if isinstance(t, Lam):
+                return Lam(t.binder, as_index(t.body))
+            return t
+
+        assert syntax.replace_atom(as_index(term), as_index(atom), "x") == as_index(expected)
+
+    def test_proj_and_index_of_one_number_are_different_atoms(self):
+        assert syntax.replace_atom(Index(0), Proj(0), "x") == Index(0)
+        assert syntax.replace_atom(Proj(0), Index(0), "x") == Proj(0)
+        mixed = App(Proj(0), Lam("y", App(Index(0), Var("z"))))
+        assert syntax.replace_atom(mixed, Proj(0), "x") == App(Var("x"), Lam("y", App(Index(0), Var("z"))))
+        assert syntax.replace_atom(mixed, Index(0), "x") == App(Proj(0), Lam("y", App(Var("x"), Var("z"))))
+
+    def test_other_atoms_stay_in_place(self):
+        term = Lam("y", App(App(Proj(2), Index(1)), App(Proj(1), Lam("w", Index(2)))))
+        got = syntax.replace_atom(term, Proj(1), "x")
+        assert got == Lam("y", App(App(Proj(2), Index(1)), App(Var("x"), Lam("w", Index(2)))))
+        assert syntax.replace_atom(term, Proj(7), "x") == term
+        assert syntax.replace_atom(T(r"\y.y z"), Proj(0), "x") == T(r"\y.y z")
+
+    def test_atoms_finds_every_atom_under_lam_and_app(self):
+        term = Lam("y", App(App(Proj(2), Index(1)), App(Proj(1), Lam("w", App(Index(2), Proj(2))))))
+        assert syntax.atoms(term, Proj) == {Proj(1), Proj(2)}
+        assert syntax.atoms(term, Index) == {Index(1), Index(2)}
+        assert syntax.atoms(Index(3), Index) == {Index(3)}
+        assert syntax.atoms(Index(3), Proj) == frozenset()
+        assert syntax.atoms(T(r"\y.y z"), Proj) == frozenset()
+
+    @pytest.mark.parametrize("term, atom, expected", CASES)
+    def test_replaced_atom_is_gone(self, term, atom, expected):
+        replaced = syntax.replace_atom(term, atom, "x")
+        assert syntax.atoms(replaced, Proj) == syntax.atoms(term, Proj) - {atom}
+
+    def test_match_reference_on_random_index_terms(self):
+        def reference(t, out):
+            if isinstance(t, Index):
+                out.append(t)
+            elif isinstance(t, App):
+                reference(t.fun, out)
+                reference(t.arg, out)
+            elif isinstance(t, Lam):
+                reference(t.body, out)
+            return out
+
+        rng = random.Random(5)
+        for _ in range(200):
+            top = gen_top_term(rng, rng.randrange(4), rng.randrange(1, 25))
+            found = reference(top.body, [])
+            assert syntax.atoms(top.body, Index) == frozenset(found)
+            for atom in set(found):
+                replaced = syntax.replace_atom(top.body, atom, "q")
+                assert syntax.atoms(replaced, Index) == frozenset(found) - {atom}
+                assert replaced.size == top.body.size

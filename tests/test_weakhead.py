@@ -22,13 +22,13 @@ from headlab.weakhead import (
     bigstep_wh,
     decompose_wh,
     krivine_load,
-    krivine_readback,
+    krivine_readback_step,
     krivine_step,
     krivine_terminal,
     plug,
     step_wh_os,
 )
-from helpers import peel
+from helpers import peel, read_back
 
 
 def T(src):
@@ -137,10 +137,10 @@ class TestKrivine:
                 assert (stepped[0] if stepped else None) == (applicable[0] if applicable else None)
 
     def test_readback_examples(self):
-        assert krivine_readback(KCommand(Lam("x", Var("x")), TOP)) == T(r"\x.x")
-        assert krivine_readback(KCommand(Var("x"), KPush(Var("y"), TOP))) == T("x y")
+        assert read_back(krivine_readback_step, KCommand(Lam("x", Var("x")), TOP)) == T(r"\x.x")
+        assert read_back(krivine_readback_step, KCommand(Var("x"), KPush(Var("y"), TOP))) == T("x y")
         deep = KCommand(Var("x"), KPush(Var("y"), KPush(Var("z"), TOP)))
-        assert krivine_readback(deep) == T("x y z")
+        assert read_back(krivine_readback_step, deep) == T("x y z")
 
     def test_readback_inverts_decomposition(self, corpus120):
         # Running any command's readback must equal plugging its stack
@@ -158,7 +158,7 @@ class TestKrivine:
             while isinstance(stack, KPush):
                 args.append(stack.arg)
                 stack = stack.rest
-            assert krivine_readback(state) == plug(tuple(reversed(args)), state.term)
+            assert read_back(krivine_readback_step, state) == plug(tuple(reversed(args)), state.term)
 
 
 def run_krivine(term, max_betas):
@@ -167,7 +167,7 @@ def run_krivine(term, max_betas):
     while True:
         nxt = krivine_step(state)
         if nxt is None:
-            return krivine_readback(state), betas
+            return read_back(krivine_readback_step, state), betas
         rule, state = nxt
         if rule == "beta":
             betas += 1
