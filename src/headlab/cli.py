@@ -84,13 +84,10 @@ def _cmd_eval(args) -> int:
         if trace is not None:
             for event in trace.events:
                 print(f"{event.phase} {event.rule} {event.state}")
-        match outcome:
-            case Normal(result, _, _):
-                print(print_term(result))
-            case FuelExhausted(_, betas, reason):
-                print(f"fuel exhausted after {betas} betas ({reason})", file=sys.stderr)
-            case Stuck(reason, _):
-                print(f"stuck: {reason}", file=sys.stderr)
+        if isinstance(outcome, Normal):
+            print(print_term(outcome.result))
+        else:
+            print(_outcome_summary(outcome), file=sys.stderr)
     match outcome:
         case Normal():
             return EXIT_OK

@@ -1,12 +1,12 @@
 """Engine registry, fueled evaluation driver, and cross-engine comparison.
 
-Every engine is driven the same way: load, step until no rule applies,
-classify the halt, read back a term.  The registry is one table of
-`Engine` rows, each naming its machine's own rules; the plumbing they
-share is written once here.  There is one readback driver,
-`_machine_readback`: it applies a machine's readback step until that
-says ("done", term), and it refuses a term that still holds a projection
-or an index.
+Every engine is driven the same way: load, reduce, classify the halt,
+read back a term; only the reduce differs, a step loop or one big-step
+call.  The registry is one table of `Engine` rows, each naming its own
+rules; the plumbing they share is written once here.  There is one
+readback driver, `_machine_readback`: it applies a machine's readback
+step until that says ("done", term), and it refuses a term that still
+holds a projection or an index.
 
 Fuel is counted in beta contractions for every engine, because that is
 the one cost unit all of them share; the non-beta transitions between
@@ -127,6 +127,7 @@ class Trace:
 
 
 Emit = Callable[[str, str], None]
+Readback = Callable[[object, Optional[Emit], Optional[int]], Term]
 
 
 def _identity(t: Term) -> Term:
@@ -137,17 +138,56 @@ def _always_normal(state) -> tuple[str, str]:
     return "normal", ""
 
 
+def _done(t: Term) -> tuple[str, Term]:
+    # A small-step or big-step engine halts on a term, its own readback.
+    return "done", t
+
+
+def _machine_readback(step_fn, render) -> Readback:
+    """The one readback driver: apply `step_fn` until it says ("done", term).
+
+    The term must be pure: a Proj or Index left in it means the run reached
+    an illegal state, and that raises IllegalStateError.  Each state is
+    rendered only when there is an `emit` to hand it to.  bench/layers.py
+    rebuilds this closure around a timed printer: it finds the inner
+    function by its qualname and reads `step_fn` and `render` off its free
+    variables, so the driver keeps exactly these two parameters.
+    """
+
+    def readback(state, emit: Optional[Emit], budget: Optional[int]) -> Term:
+        while True:
+            rule, nxt = step_fn(state)
+            if rule == "done":
+                if not is_pure(nxt):
+                    raise IllegalStateError(f"projection or index survived readback: {print_term(nxt)}")
+                if emit is not None:
+                    emit("done", print_term(nxt))
+                return nxt
+            state = nxt
+            if emit is not None:
+                emit(rule, render(state))
+
+    return readback
+
+
+_term_readback = _machine_readback(_done, print_term)
+
+
 @dataclass(frozen=True, kw_only=True)
 class Engine:
+    """One registry row: exactly one of `step` and `bigstep`, plus whichever
+    of load, halt, readback, render and metrics differ from the defaults
+    (a big-step row needs none).  Untraced, `readback` gets emit=None."""
+
     name: str
     strategy: str  # "weak-head" | "head" | "control"
     description: str
     load: Callable[[Term], object] = _identity
-    step: Callable[[object], Optional[tuple[str, object]]]
+    step: Optional[Callable[[object], Optional[tuple[str, object]]]] = None
     halt: Callable[[object], tuple[str, str]] = _always_normal
-    readback: Callable[[object, Emit, Optional[int]], Term]
+    readback: Readback = _term_readback
     render: Callable[[object], str] = print_state
-    metrics: Callable[[object], tuple[int, int]]
+    metrics: Callable[[object], tuple[int, int]] = term_metrics
     beta_rules: frozenset[str] = frozenset(("beta",))
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
 
@@ -160,7 +200,7 @@ class InvalidFuelError(ValueError):
     pass
 
 
-# --- halting, stepping and reading back ---------------------------------------
+# --- halting and stepping -----------------------------------------------------
 
 
 def _halt_unless(terminal: Callable[[object], bool]) -> Callable[[object], tuple[str, str]]:
@@ -182,43 +222,6 @@ def _beta_step(fn: Callable[[Term], Optional[Term]]) -> Callable[[Term], Optiona
         return None if nxt is None else ("beta", nxt)
 
     return step
-
-
-def _no_step(t: Term) -> None:
-    # A big-step engine reduces in Engine.bigstep, never through step.
-    return None
-
-
-def _done(t: Term) -> tuple[str, Term]:
-    # A small-step engine halts on a term, which is its own readback.
-    return "done", t
-
-
-def _machine_readback(step_fn, render) -> Callable[[object, Emit, Optional[int]], Term]:
-    """The one readback driver: apply `step_fn` until it says ("done", term).
-
-    The term must be pure: a Proj or Index left in it means the run reached
-    an illegal state, and that raises IllegalStateError.  bench/layers.py
-    rebuilds this closure around a timed printer: it finds the inner
-    function by its qualname and reads `step_fn` and `render` off its free
-    variables, so the driver keeps exactly these two parameters.
-    """
-
-    def readback(state, emit: Emit, budget: Optional[int]) -> Term:
-        while True:
-            rule, nxt = step_fn(state)
-            if rule == "done":
-                if not is_pure(nxt):
-                    raise IllegalStateError(f"projection or index survived readback: {print_term(nxt)}")
-                emit("done", print_term(nxt))
-                return nxt
-            state = nxt
-            emit(rule, render(state))
-
-    return readback
-
-
-_term_readback = _machine_readback(_done, print_term)
 
 
 # --- state measures -------------------------------------------------------------
@@ -275,13 +278,13 @@ def _c_metrics(c: control.CCommand) -> tuple[int, int]:
 # --- environment and control engines ------------------------------------------
 
 
-def _env_readback(state_cls, step_fn) -> Callable[[object, Emit, Optional[int]], Term]:
+def _env_readback(state_cls, step_fn) -> Readback:
     """Readback of an environment machine.  Forcing the focus and every
     stacked closure turns the state into a substitution-machine state of
     type `state_cls`, whose readback folds any leftover arguments back on
     (only open programs leave any)."""
 
-    def readback(c: envmachine.ECommand, emit: Emit, budget: Optional[int]) -> Term:
+    def readback(c: envmachine.ECommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
         forced = envmachine.as_forced_command(c, budget)
         state = state_cls(forced.term, forced.coterm)
         return _machine_readback(step_fn, print_state)(state, emit, budget)
@@ -293,11 +296,11 @@ def _control_load(t: Term) -> control.CCommand:
     return control.control_load(control.embed_term(t))
 
 
-def _control_readback(view, step_fn) -> Callable[[object, Emit, Optional[int]], Term]:
+def _control_readback(view, step_fn) -> Readback:
     """Readback of a control machine: `view` reads its state as a state of
     the substitution machine it simulates, and that machine reads back."""
 
-    def readback(c: control.CCommand, emit: Emit, budget: Optional[int]) -> Term:
+    def readback(c: control.CCommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
         return _machine_readback(step_fn, print_state)(view(c), emit, budget)
 
     return readback
@@ -305,17 +308,15 @@ def _control_readback(view, step_fn) -> Callable[[object, Emit, Optional[int]], 
 
 # --- registry -----------------------------------------------------------------
 
-# Fields left out take the Engine defaults: load is the identity, halt
-# calls every halting state normal, and states render with print_state.
+# Fields left out take the Engine defaults: identity load, a halt that
+# calls every state normal, the term readback and measure (term_metrics),
+# and print_state, which prints a bare term with print_term.
 ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
     Engine(
         name="wh-os",
         strategy="weak-head",
         description="contextual small-step weak-head reduction",
         step=_beta_step(weakhead.step_wh_os),
-        readback=_term_readback,
-        render=print_term,
-        metrics=term_metrics,
     ),
     Engine(
         name="krivine",
@@ -331,10 +332,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         name="wh-bigstep",
         strategy="weak-head",
         description="big-step weak-head evaluator",
-        step=_no_step,
-        readback=_term_readback,
-        render=print_term,
-        metrics=term_metrics,
         bigstep=weakhead.bigstep_wh,
     ),
     Engine(
@@ -353,9 +350,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         strategy="head",
         description="small-step head reduction contracting the head redex in place",
         step=_beta_step(headsimple.step_head_os),
-        readback=_term_readback,
-        render=print_term,
-        metrics=term_metrics,
     ),
     Engine(
         name="head-abs",
@@ -409,20 +403,12 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         name="head-bigstep",
         strategy="head",
         description="big-step head evaluator layered on weak-head evaluation",
-        step=_no_step,
-        readback=_term_readback,
-        render=print_term,
-        metrics=term_metrics,
         bigstep=headsimple.bigstep_h,
     ),
     Engine(
         name="sestoft",
         strategy="head",
         description="Sestoft-style big-step head evaluator",
-        step=_no_step,
-        readback=_term_readback,
-        render=print_term,
-        metrics=term_metrics,
         bigstep=headsimple.bigstep_sestoft,
     ),
     Engine(
@@ -502,75 +488,64 @@ def evaluate(
     engine: str = "krivine",
     fuel: Optional[int] = None,
     trace: bool = False,
-    max_state_nodes: int = MAX_STATE_NODES,
-    max_state_depth: int = MAX_STATE_DEPTH,
-    max_total_work: int = MAX_TOTAL_WORK,
 ) -> tuple[Outcome, Optional[Trace]]:
     """Run one engine on a term under a beta budget.
 
     Returns the outcome and, when requested, the rule-labelled trace of
-    load, reduce, and readback events.
+    load, reduce, and readback events.  Untraced, only the capped
+    `last_state` of a stopped run is rendered.  The guards are read from
+    MAX_STATE_NODES, MAX_STATE_DEPTH and MAX_TOTAL_WORK at each call.
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
     tr = Trace(eng.name) if trace else None
-
-    def emit(phase: str, rule: str, state: str) -> None:
-        if tr is not None:
-            tr.add(phase, rule, state)
+    state = eng.load(term)
+    if tr is not None:
+        tr.add("load", "load", eng.render(state))
 
     if eng.bigstep is not None:
-        meter = FuelMeter(budget, max_total_work)
-        emit("load", "load", print_term(term))
-        log: Optional[list] = None
+        meter = FuelMeter(budget, MAX_TOTAL_WORK)
         try:
-            result = eng.bigstep(term, meter, log)
+            state = eng.bigstep(state, meter, None)
         except OutOfFuel as exc:
             reason = "beta budget" if exc.kind == "beta" else "work budget"
             return FuelExhausted("<abandoned>", min(meter.betas, budget), reason), tr
-        emit("readback", "done", print_term(result))
-        return Normal(result, meter.betas, meter.betas), tr
-
-    state = eng.load(term)
-    emit("load", "load", eng.render(state))
-    betas = 0
-    steps = 0
-    # Work is one per transition plus the state size at every beta, so the
-    # work cap is met when steps pass what the betas have left of it.
-    steps_left = max_total_work
-    step_fn = eng.step
-    beta_rules = eng.beta_rules
-    tracing = tr is not None
-    while True:
-        nxt = step_fn(state)
-        if nxt is None:
-            break
-        rule, state = nxt
-        steps += 1
-        if tracing:
-            emit("reduce", rule, eng.render(state))
-        if rule in beta_rules:
-            betas += 1
-            if betas > budget:
-                return FuelExhausted(_render_capped(eng, state), budget, "beta budget"), tr
-            size, depth = eng.metrics(state)
-            steps_left -= size
-            if size > max_state_nodes or depth > max_state_depth:
+        steps = betas = meter.betas
+    else:
+        betas = 0
+        steps = 0
+        # Work is one per transition plus the state size at every beta, so
+        # the work cap is met when steps pass what the betas have left of it.
+        steps_left = MAX_TOTAL_WORK
+        step_fn = eng.step
+        beta_rules = eng.beta_rules
+        while True:
+            nxt = step_fn(state)
+            if nxt is None:
+                break
+            rule, state = nxt
+            steps += 1
+            if tr is not None:
+                tr.add("reduce", rule, eng.render(state))
+            if rule in beta_rules:
+                betas += 1
+                if betas > budget:
+                    return FuelExhausted(_render_capped(eng, state), budget, "beta budget"), tr
+                size, depth = eng.metrics(state)
+                steps_left -= size
+                if size > MAX_STATE_NODES or depth > MAX_STATE_DEPTH:
+                    return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
+            if steps > steps_left:
                 return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
-        if steps > steps_left:
-            return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
 
     # "open" halts (an environment machine meeting an unbound variable)
     # have no transition but still read back to a neutral term.
     kind, reason = eng.halt(state)
     if kind == "stuck":
-        return Stuck(reason, eng.render(state)), tr
-
-    def emit_readback(rule: str, rendering: str) -> None:
-        emit("readback", rule, rendering)
-
+        return Stuck(reason, _render_capped(eng, state)), tr
+    emit = None if tr is None else partial(tr.add, "readback")
     try:
-        result = eng.readback(state, emit_readback, max_state_nodes)
+        result = eng.readback(state, emit, MAX_STATE_NODES)
     except envmachine.ForceBudgetExceeded:
         return FuelExhausted("<result too large to materialize>", betas, "work budget"), tr
     except (IllegalStateError, ValueError) as exc:

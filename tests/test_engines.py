@@ -1,15 +1,18 @@
 """Harness behavior: the evaluation driver, tracing, generation, engine
 comparison, and the command-line interface."""
 
+import collections
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from headlab import coalesced, envmachine, projection, syntax
+from headlab import coalesced, envmachine, pretty, projection, syntax
 from headlab.cli import main
 from headlab.engines import (
     CONTROL_ENGINE_NAMES,
+    ENGINES,
     HEAD_ENGINE_NAMES,
     WH_ENGINE_NAMES,
     FuelExhausted,
@@ -108,6 +111,33 @@ class TestEvaluate:
         outcome, _ = evaluate(T(r"\x.x"), "control-krivine", 10)
         assert isinstance(outcome, Stuck)
 
+    def test_a_halting_stuck_state_is_rendered_capped(self):
+        # control-krivine halts at once on a lambda; the state it halts in
+        # holds a balanced tree of 4,095 nodes, too many to render.
+        def tree(depth):
+            return Var("x") if depth == 0 else App(tree(depth - 1), tree(depth - 1))
+
+        outcome, _ = evaluate(Lam("x", tree(11)), "control-krivine", 10)
+        assert outcome == Stuck("pattern-match on the empty top-level context", "<state with ~4098 nodes>")
+
+    def test_an_untraced_run_renders_nothing(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("_term", "_c_term"):
+
+            def counted(*args, _name=name, _printer=getattr(pretty, name)):
+                calls[_name] += 1
+                return _printer(*args)
+
+            monkeypatch.setattr(pretty, name, counted)
+        term = T(r"(\x.x) y")
+        for name in engine_names():
+            outcome, trace = evaluate(term, name, 100)
+            assert isinstance(outcome, Normal) and trace is None, name
+        assert calls == {}
+        for name in engine_names():
+            evaluate(term, name, 100, trace=True)
+        assert calls["_term"] > 0 and calls["_c_term"] > 0
+
     def test_every_engine_renders_every_trace_state(self):
         probes = [T(r"\x.(\y.y) x"), T(r"(\f.f (f w)) (\u.u)"), T("q w"), T(r"\a.\b.a (b q)")]
         for name in engine_names():
@@ -172,6 +202,16 @@ class TestReadbackDriver:
     def test_engine_readback_rejects_a_leftover_atom(self, engine, state):
         with pytest.raises(IllegalStateError):
             get_engine(engine).readback(state, lambda rule, rendering: None, None)
+
+    def test_a_big_step_result_goes_through_the_driver(self, monkeypatch):
+        illegal = dataclasses.replace(ENGINES["sestoft"], bigstep=lambda t, meter, log: Proj(0))
+        monkeypatch.setitem(ENGINES, "sestoft", illegal)
+        outcome, _ = evaluate(T(r"\x.x"), "sestoft", 10)
+        assert outcome == Stuck("readback failed: projection or index survived readback: car(tp)", "car(tp)")
+
+    def test_every_row_sets_exactly_one_of_step_and_bigstep(self):
+        for engine in ENGINES.values():
+            assert (engine.step is None) != (engine.bigstep is None), engine.name
 
     def test_legal_state_reads_back_and_emits_done(self):
         events = []
@@ -355,7 +395,7 @@ class TestCli:
         code = main(["eval", "--engine", "krivine", "--fuel", "30", str(src)])
         _, err = capsys.readouterr()
         assert code == 2
-        assert "fuel exhausted" in err
+        assert err == "fuel exhausted after 30 betas (beta budget)\n"
 
     def test_eval_stuck_exit_code(self, tmp_path, capsys):
         src = tmp_path / "id.lam"
@@ -363,7 +403,7 @@ class TestCli:
         code = main(["eval", "--engine", "control-krivine", str(src)])
         _, err = capsys.readouterr()
         assert code == 3
-        assert "stuck" in err
+        assert err == "stuck: pattern-match on the empty top-level context\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         src = tmp_path / "bad.lam"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from headlab import coalesced, envmachine, headsimple, projection, syntax, weakhead
+from headlab import coalesced, engines, envmachine, headsimple, projection, syntax, weakhead
 from headlab.engines import HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, evaluate
 from headlab.parse import parse_term
 from headlab.syntax import (
@@ -129,13 +129,14 @@ class TestCachedMeasures:
             mismatches.extend(_cached_measure_mismatches(result))
             return result
 
+        monkeypatch.setattr(engines, "MAX_STATE_NODES", 2_000)
         for module in (weakhead, headsimple, projection, coalesced, envmachine):
             assert module.subst is syntax.subst
             monkeypatch.setattr(module, "subst", checked_subst)
         for term in corpus120:
             for start in (term, App(App(term, Var("y")), Var("x"))):
                 for name in WH_ENGINE_NAMES + HEAD_ENGINE_NAMES:
-                    evaluate(start, name, 100, max_state_nodes=2_000)
+                    evaluate(start, name, 100)
         assert mismatches == []
         assert seen["calls"] > 10_000
         assert seen["renamed"] > 0 and seen["atoms"] > 0
