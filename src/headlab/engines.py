@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Optional, Union
 
-from . import coalesced, control, envmachine, headsimple, projection, weakhead
+from . import control, envmachine, headsimple, projection, weakhead
 from .fuel import FuelMeter, OutOfFuel
 from .pretty import print_state, print_term
 from .syntax import IllegalStateError, Term, alpha_eq, is_pure, split_stack, term_metrics
@@ -77,7 +77,7 @@ DEFAULT_FUEL = 100000
 #   every control node carries, and no depth.
 # On the corpus krivine ends 36 runs on the beta budget and 21 on work,
 # wh-bigstep 49 and 8; head-proj 36 and 23, head-bigstep 50 and 9.  One
-# measure shared by every engine is item 4 of ROADMAP.md.
+# measure shared by every engine is item 3 of ROADMAP.md.
 MAX_STATE_NODES = 60_000
 MAX_STATE_DEPTH = 1_200
 MAX_TOTAL_WORK = 500_000
@@ -121,9 +121,6 @@ class Trace:
 
     def add(self, phase: str, rule: str, state: str) -> None:
         self.events.append(TraceEvent(len(self.events), phase, rule, state))
-
-    def by_phase(self, phase: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.phase == phase]
 
 
 Emit = Callable[[str, str], None]
@@ -251,11 +248,6 @@ def _top_metrics(t: projection.TopTerm) -> tuple[int, int]:
     return size + t.binders, depth + t.binders
 
 
-def _dtop_metrics(t: coalesced.DTopTerm) -> tuple[int, int]:
-    size, depth = term_metrics(t.body)
-    return size + t.prefix, depth + t.prefix
-
-
 def _h_metrics(c: headsimple.HCommand) -> tuple[int, int]:
     args, stuck = split_stack(c.coterm, headsimple.HPush)
     return _plugged_metrics(c.term, args, len(stuck.binders))
@@ -267,7 +259,7 @@ def _e_metrics(c: envmachine.ECommand) -> tuple[int, int]:
     # until the work cap stops it at MAX_TOTAL_WORK transitions (55 and 57
     # corpus runs of env-krivine and env-head end so).  Forcing has its own
     # node budget at readback.  One measure shared with the other engines is
-    # item 4 of ROADMAP.md.
+    # item 3 of ROADMAP.md.
     return 1, 1
 
 
@@ -278,16 +270,19 @@ def _c_metrics(c: control.CCommand) -> tuple[int, int]:
 # --- environment and control engines ------------------------------------------
 
 
-def _env_readback(state_cls, step_fn) -> Readback:
+def _env_readback(coalesced: bool) -> Readback:
     """Readback of an environment machine.  Forcing the focus and every
-    stacked closure turns the state into a substitution-machine state of
-    type `state_cls`, whose readback folds any leftover arguments back on
-    (only open programs leave any)."""
+    stacked closure turns the state into a projection-machine state, whose
+    readback folds any leftover arguments back on (only open programs
+    leave any); `coalesced` is how those states print.  As in
+    `_control_readback`, `print_state` is looked up at each call, so the
+    per-layer timer of bench/layers.py, which rebinds it, sees these
+    renders."""
 
     def readback(c: envmachine.ECommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
         forced = envmachine.as_forced_command(c, budget)
-        state = state_cls(forced.term, forced.coterm)
-        return _machine_readback(step_fn, print_state)(state, emit, budget)
+        render = partial(print_state, coalesced=coalesced)
+        return _machine_readback(projection.proj_readback_step, render)(forced, emit, budget)
 
     return readback
 
@@ -307,6 +302,11 @@ def _control_readback(view, step_fn) -> Readback:
 
 
 # --- registry -----------------------------------------------------------------
+
+# Coalescing is a rendering: head-coalesced and head-debruijn run the rules
+# of head-proj and head-os-derived and print the same states with counts
+# (pick/drop offsets, a \^n. binder prefix); env-head prints so too.
+_coalesced = partial(print_state, coalesced=True)
 
 # Fields left out take the Engine defaults: identity load, a halt that
 # calls every state normal, the term readback and measure (term_metrics),
@@ -341,7 +341,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=envmachine.env_krivine_load,
         step=envmachine.env_krivine_step,
         halt=envmachine.env_krivine_halt,
-        readback=_env_readback(projection.PCommand, projection.proj_readback_step),
+        readback=_env_readback(coalesced=False),
         metrics=_e_metrics,
         beta_rules=frozenset(("bind",)),
     ),
@@ -384,20 +384,22 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         name="head-coalesced",
         strategy="head",
         description="head machine with projection chains coalesced into numeric offsets",
-        load=coalesced.coalesced_load,
-        step=coalesced.coalesced_step,
-        halt=_halt_unless(coalesced.coalesced_terminal),
-        readback=_machine_readback(coalesced.coalesced_readback_step, print_state),
+        load=projection.proj_load,
+        step=projection.proj_step,
+        halt=_halt_unless(projection.proj_terminal),
+        readback=_machine_readback(projection.proj_readback_step, _coalesced),
+        render=_coalesced,
         metrics=_p_metrics,
     ),
     Engine(
         name="head-debruijn",
         strategy="head",
         description="small-step head reduction with a counted top-level binder prefix",
-        load=coalesced.debruijn_load,
-        step=coalesced.debruijn_step,
-        readback=_machine_readback(coalesced.debruijn_readback_step, print_state),
-        metrics=_dtop_metrics,
+        load=partial(projection.TopTerm, 0),
+        step=projection.derived_step,
+        readback=_machine_readback(projection.derived_readback_step, _coalesced),
+        render=_coalesced,
+        metrics=_top_metrics,
     ),
     Engine(
         name="head-bigstep",
@@ -418,8 +420,8 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=envmachine.env_head_load,
         step=envmachine.env_head_step,
         halt=envmachine.env_head_halt,
-        readback=_env_readback(coalesced.QCommand, coalesced.coalesced_readback_step),
-        render=partial(print_state, env_style="pick"),
+        readback=_env_readback(coalesced=True),
+        render=_coalesced,
         metrics=_e_metrics,
         beta_rules=frozenset(("bind",)),
     ),

@@ -3,10 +3,10 @@
 Variables are resolved through persistent environments instead of by
 substitution: pushing an argument captures the current environment in a
 closure, and binding extends the environment without mutating anything a
-previously built closure might share.  The head variant adds the same
-projection rule as the coalesced machine, binding the variable to a
-projection closure.  Results are recovered by forcing: recursively
-substituting environment bindings back into the term.
+previously built closure might share.  The head variant adds the
+projection machine's rule, binding the variable to a projection closure.
+Results are recovered by forcing: recursively substituting environment
+bindings back into the term, which gives a projection-machine state.
 """
 
 from __future__ import annotations

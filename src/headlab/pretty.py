@@ -2,15 +2,17 @@
 
 Term output is ASCII and re-parseable; parsing a printed term gives back
 the identical structure.  Machine states render in the notation of their
-engine: projection chains as car/cdr around tp, coalesced offsets as
-pick/drop, binder frames as Abs(x, S), environments as binding lists.
+engine: projection chains as car/cdr around tp, binder frames as
+Abs(x, S), environments as binding lists.  The coalesced rendering
+prints counts in place of chains: a projection offset as pick/drop, an
+anonymous binder prefix as \\^n.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from . import coalesced, control, envmachine, headsimple, projection, weakhead
+from . import control, envmachine, headsimple, projection, weakhead
 from .syntax import App, Index, Lam, Proj, Term, Var, split_stack
 
 __all__ = ["print_term", "print_state"]
@@ -51,8 +53,8 @@ def _term(t: Term, pos: int, proj_style: str) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def print_term(t: Term, proj_style: str = "car") -> str:
-    return _term(t, _TOP, proj_style)
+def print_term(t: Term) -> str:
+    return _term(t, _TOP, "car")
 
 
 def _k_coterm(e: weakhead.KCoTerm) -> str:
@@ -131,17 +133,17 @@ State = Union[
     control.CCommand,
     envmachine.ECommand,
     projection.TopTerm,
-    coalesced.DTopTerm,
 ]
 
 
-def print_state(state: State, env_style: str = "car") -> str:
-    """Engine-tagged rendering of any machine state or small-step form."""
+def print_state(state: State, coalesced: bool = False) -> str:
+    """Engine-tagged rendering of any machine state or small-step form;
+    `coalesced` selects the counted rendering of head-coalesced,
+    head-debruijn and env-head."""
+    style = "pick" if coalesced else "car"
     match state:
-        case coalesced.QCommand():
-            return f"<{_term(state.term, _TOP, 'pick')} || {_p_coterm(state.coterm, 'pick')}>"
         case projection.PCommand():
-            return f"<{_term(state.term, _TOP, 'car')} || {_p_coterm(state.coterm, 'car')}>"
+            return f"<{_term(state.term, _TOP, style)} || {_p_coterm(state.coterm, style)}>"
         case weakhead.KCommand():
             return f"<{print_term(state.term)} || {_k_coterm(state.stack)}>"
         case headsimple.HCommand():
@@ -149,12 +151,10 @@ def print_state(state: State, env_style: str = "car") -> str:
         case control.CCommand():
             return _c_command(state)
         case envmachine.ECommand():
-            style = "pick" if env_style == "pick" else "car"
             term = _term(state.term, _TOP, style)
             return f"<{term} || {_env(state.env, 2, style)} || {_e_coterm(state.coterm, style)}>"
         case projection.TopTerm():
-            return "\\." * state.binders + print_term(state.body)
-        case coalesced.DTopTerm():
-            return f"\\^{state.prefix}.{print_term(state.body)}"
+            prefix = f"\\^{state.binders}." if coalesced else "\\." * state.binders
+            return prefix + print_term(state.body)
         case _:
             return print_term(state)

@@ -7,6 +7,12 @@ those projections as references to a prefix of anonymous top-level
 binders.  The star/hash translations connect the index form to the plain
 named small-step semantics and are property-tested as inverses.
 
+The paper's coalescing step, which replaces a chain of projections and a
+prefix of binders with a count, needs no machine of its own: `PStuck`,
+`Proj` and `TopTerm` already hold that count as one integer.  The
+head-coalesced and head-debruijn engines run these rules and differ only
+in printing (`pretty.print_state(..., coalesced=True)`).
+
 Each artifact has a readback step that ends in ("done", term); the
 engines' one driver (`engines._machine_readback`) runs it to the end and
 checks that no projection or index is left.  `translate_star` runs the

@@ -9,7 +9,6 @@ shared between criteria.
 import random
 
 from headlab.cli import main
-from headlab.coalesced import coalesced_load, coalesced_readback_step, coalesced_step
 from headlab.control import control_load, control_proj_step, embed_term, is_legal_command
 from headlab.engines import (
     HEAD_ENGINE_NAMES,
@@ -24,14 +23,13 @@ from headlab.parse import parse_term
 from headlab.projection import (
     is_legal_proj,
     proj_load,
-    proj_readback_step,
     proj_step,
     translate_hash,
     translate_star,
 )
 from headlab.syntax import Lam, NormalFormClass, alpha_eq, classify
 from conftest import CORPUS_FUEL, CORPUS_SEED
-from helpers import db_subst, gen_top_term, peel, to_db
+from helpers import db_subst, gen_top_term, outcome_key, peel, to_db
 
 OMEGA = r"(\y.y y)(\y.y y)"
 
@@ -63,16 +61,16 @@ def test_criterion_1_projection_machine_golden_trace(tmp_path, capsys):
 def test_criterion_2_index_form_golden_trace(tmp_path, capsys):
     src = tmp_path / "t.lam"
     src.write_text(r"\x.(\y.y) x")
-    code = main(["eval", "--engine", "head-os-derived", "--trace", str(src)])
-    out, _ = capsys.readouterr()
-    assert code == 0
-    lines = out.strip().splitlines()
-    reduces = [l for l in lines if l.startswith("reduce")]
-    assert reduces == [
-        r"reduce absorb \.(\y.y) #0",
-        r"reduce beta \.#0",
-    ]
-    assert lines[-1] == r"\x.x"
+    for engine, expected in (
+        ("head-os-derived", [r"reduce absorb \.(\y.y) #0", r"reduce beta \.#0"]),
+        ("head-debruijn", [r"reduce absorb \^1.(\y.y) #0", r"reduce beta \^1.#0"]),
+    ):
+        code = main(["eval", "--engine", engine, "--trace", str(src)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [l for l in lines if l.startswith("reduce")] == expected
+        assert lines[-1] == r"\x.x"
     print("ACCEPTANCE 2 PASS: index-form semantics passes through the worked states")
 
 
@@ -167,40 +165,17 @@ def test_criterion_7_translation_round_trips(corpus1000):
           "200 top terms reach their star-then-hash by absorptions")
 
 
-def test_criterion_8_coalesced_lockstep(corpus1000):
-    from headlab.coalesced import as_projection_command
-    mismatches = 0
-    for term in corpus1000[:500]:
-        q, p = coalesced_load(term), proj_load(term)
-        budget = 4000
-        while budget:
-            budget -= 1
-            q_next, p_next = coalesced_step(q), proj_step(p)
-            if (q_next is None) != (p_next is None):
-                mismatches += 1
-                break
-            if q_next is None:
-                while True:
-                    q_rule, q_out = coalesced_readback_step(q)
-                    p_rule, p_out = proj_readback_step(p)
-                    if q_rule != p_rule:
-                        mismatches += 1
-                        break
-                    if q_rule == "done":
-                        if q_out != p_out:
-                            mismatches += 1
-                        break
-                    q, p = q_out, p_out
-                    if as_projection_command(q) != p:
-                        mismatches += 1
-                        break
-                break
-            if q_next[0] != p_next[0] or as_projection_command(q_next[1]) != p_next[1]:
-                mismatches += 1
-                break
-            q, p = q_next[1], p_next[1]
-    assert mismatches == 0
-    print("ACCEPTANCE 8 PASS: coalesced and chain-style machines run in lockstep on 500 terms")
+def test_criterion_8_coalesced_lockstep(head_outcomes, golden_traces):
+    # Coalescing is a rendering: head-coalesced and head-debruijn run the
+    # rules of head-proj and head-os-derived, so each pair must reach the
+    # same outcome on every corpus term and apply the same rules, in the
+    # same order, on every traced term.
+    for coalesced, chain in (("head-coalesced", "head-proj"), ("head-debruijn", "head-os-derived")):
+        assert list(map(outcome_key, head_outcomes[coalesced])) == list(map(outcome_key, head_outcomes[chain]))
+        for mine, theirs in zip(golden_traces[coalesced], golden_traces[chain], strict=True):
+            assert [(e.phase, e.rule) for e in mine.events] == [(e.phase, e.rule) for e in theirs.events]
+    print("ACCEPTANCE 8 PASS: coalesced and chain-style machines run in lockstep "
+          "on 1000 outcomes and 40 traces")
 
 
 def test_criterion_9_normal_form_soundness(corpus1000, wh_outcomes, head_outcomes):

@@ -193,8 +193,8 @@ class TestAgainstSubstitutionTwins:
                 assert type(mine).__name__ == type(twin).__name__
 
     def test_push_and_beta_counts_match_twins(self, corpus120):
+        from headlab.projection import proj_load, proj_step
         from headlab.weakhead import krivine_load, krivine_step
-        from headlab.coalesced import coalesced_load, coalesced_step
 
         for term in corpus120:
             try:
@@ -207,7 +207,7 @@ class TestAgainstSubstitutionTwins:
 
             try:
                 env_state, env_rules = run(env_head_step, env_head_load(term))
-                sub_state, sub_rules = run(coalesced_step, coalesced_load(term))
+                sub_state, sub_rules = run(proj_step, proj_load(term))
             except AssertionError:
                 continue
             assert env_rules.count("push") == sub_rules.count("push")

@@ -6,10 +6,10 @@ import pytest
 
 from headlab.parse import ParseError, parse_term
 from headlab.pretty import print_state, print_term
-from headlab.projection import PCommand, PPush, PStuck
-from headlab.syntax import App, Lam, Proj, Var
+from headlab.envmachine import Binding, Closure, ECommand, EPush, EStuck
+from headlab.projection import PCommand, PPush, PStuck, TopTerm
+from headlab.syntax import App, Index, Lam, Proj, Var
 from headlab.weakhead import KCommand, TOP
-from headlab.coalesced import QCommand
 from helpers import peel
 
 
@@ -109,5 +109,19 @@ class TestPrintState:
         assert print_state(state) == r"<\y.y || car(tp) . cdr(tp)>"
 
     def test_coalesced_state(self):
-        state = QCommand(Proj(0), PStuck(1))
-        assert print_state(state) == "<pick 0 tp || drop 1 tp>"
+        # The coalesced rendering prints an offset as one count: pick/drop
+        # for a projection, \^n. for an anonymous binder prefix.
+        assert print_state(PCommand(Proj(0), PStuck(1)), coalesced=True) == "<pick 0 tp || drop 1 tp>"
+        state = PCommand(Proj(0), PPush(Proj(1), PStuck(2)))
+        assert print_state(state, coalesced=True) == "<pick 0 tp || (pick 1 tp) . drop 2 tp>"
+        assert print_state(TopTerm(2, App(Index(1), Lam("y", Index(0)))), coalesced=True) == r"\^2.#1 (\y.#0)"
+        assert print_state(TopTerm(0, Var("v")), coalesced=True) == r"\^0.v"
+        state = ECommand(
+            App(Proj(0), Var("x")),
+            Binding("x", Closure(Proj(1), None), None),
+            EPush(Closure(Proj(0), None), EStuck(2)),
+        )
+        assert print_state(state, coalesced=True) == (
+            "<(pick 0 tp) x || [x -> (pick 1 tp, [])] || (pick 0 tp, []) . drop 2 tp>"
+        )
+        assert print_state(state) == "<car(tp) x || [x -> (car(cdr(tp)), [])] || (car(tp), []) . cdr(cdr(tp))>"

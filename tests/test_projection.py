@@ -46,6 +46,10 @@ class TestMachineTrace:
         rb2, final = proj_readback_step(s4)
         assert (rb2, final) == ("done", Lam("x", Var("x")))
 
+    def test_plain_beta_identical_to_krivine(self):
+        state = PCommand(T(r"\x.x"), PPush(Var("y"), PStuck(0)))
+        assert proj_step(state) == ("beta", PCommand(Var("y"), PStuck(0)))
+
     def test_terminal_shapes(self):
         assert proj_terminal(PCommand(Var("x"), PStuck(0)))
         assert proj_terminal(PCommand(Proj(3), PPush(Var("y"), PStuck(4))))
@@ -60,14 +64,20 @@ class TestReadback:
         assert read_back(proj_readback_step, PCommand(Var("x"), PStuck(0))) == Var("x")
 
     def test_two_binder_state(self):
-        # <car(cdr tp) || car tp . cdr(cdr tp)> names two binders; the
-        # oracle is head reduction itself: the result must be the head
-        # normal form \a.\b.b a (offset 0 is the outermost binder).
-        state = PCommand(Proj(1), PPush(Proj(0), PStuck(2)))
-        result = read_back(proj_readback_step, state)
-        expected = T(r"\a.\b.b a")
-        assert step_head_os(expected) is None
-        assert alpha_eq(result, expected)
+        # Each state names two binders (offset 0 is the outermost one).
+        # The oracle is the machine itself: run on the expected head normal
+        # form, it halts in exactly this state.
+        for state, expected in (
+            (PCommand(Proj(1), PPush(Proj(0), PStuck(2))), T(r"\a.\b.b a")),
+            (PCommand(Proj(0), PStuck(2)), T(r"\a.\b.a")),
+            (PCommand(Proj(1), PStuck(2)), T(r"\a.\b.b")),
+        ):
+            assert step_head_os(expected) is None
+            halted = proj_load(expected)
+            while (nxt := proj_step(halted)) is not None:
+                halted = nxt[1]
+            assert halted == state
+            assert alpha_eq(read_back(proj_readback_step, state), expected)
 
     def test_readback_avoids_capture_by_inner_binders(self):
         # The focused term already binds x over a projection; the fresh
@@ -154,6 +164,7 @@ class TestDerivedSmallStep:
         # the head reads back with the inner binder applied: the oracle is
         # hashing the expected answer, which is its own absorption fixpoint.
         assert translate_hash(T(r"\a.\b.b a")) == TopTerm(2, App(Index(1), Index(0)))
+        assert translate_hash(T(r"\a.\b.a b")) == TopTerm(2, App(Index(0), Index(1)))
         assert alpha_eq(read_back(derived_readback_step, TopTerm(2, App(Index(1), Index(0)))), T(r"\a.\b.b a"))
         assert alpha_eq(read_back(derived_readback_step, TopTerm(2, App(Index(0), Index(1)))), T(r"\a.\b.a b"))
 
@@ -235,6 +246,7 @@ class TestAgainstProjectionMachine:
                 continue
             if betas > 200:
                 continue
+            assert is_legal_top(top)
 
             state = proj_load(term)
             fuel = 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from headlab import coalesced, engines, envmachine, headsimple, projection, syntax, weakhead
+from headlab import engines, envmachine, headsimple, projection, syntax, weakhead
 from headlab.engines import HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, evaluate
 from headlab.parse import parse_term
 from headlab.syntax import (
@@ -130,7 +130,7 @@ class TestCachedMeasures:
             return result
 
         monkeypatch.setattr(engines, "MAX_STATE_NODES", 2_000)
-        for module in (weakhead, headsimple, projection, coalesced, envmachine):
+        for module in (weakhead, headsimple, projection, envmachine):
             assert module.subst is syntax.subst
             monkeypatch.setattr(module, "subst", checked_subst)
         for term in corpus120:
