@@ -30,9 +30,8 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
-from .projection import PCommand, PPush, PStuck, PCoTerm
 from .syntax import App, Lam, Proj, Term, Var, _cached, fresh, split_stack
-from .weakhead import KCommand, KCoTerm, KPush, TOP
+from .weakhead import PCommand, PCoTerm, PPush, PStuck
 
 __all__ = [
     "CVar",
@@ -57,7 +56,6 @@ __all__ = [
     "legality_status",
     "embed_term",
     "unembed_term",
-    "as_krivine_command",
     "as_projection_command",
 ]
 
@@ -482,20 +480,10 @@ def unembed_term(t: CTerm, allow_proj: bool = False) -> Term:
             raise ValueError(f"not an embedded term: {t!r}")
 
 
-def as_krivine_command(c: CCommand) -> KCommand:
-    """View a reachable plain-machine state as a Krivine state."""
-    stack: KCoTerm = TOP
-    args, e = split_stack(c.coterm, CPush)
-    if not isinstance(e, CStuckCo) or e.depth != 0:
-        raise ValueError("co-term does not end at the top level")
-    for arg in reversed(args):
-        stack = KPush(unembed_term(arg), stack)
-    return KCommand(unembed_term(c.term), stack)
-
-
 def as_projection_command(c: CCommand) -> PCommand:
-    """View a projection-machine state over pure code as a state of the
-    control-free projection machine."""
+    """View a state of either machine over pure code as a state of the
+    control-free machine it simulates (a plain-machine state is a Krivine
+    state, whose co-term ends at the top level)."""
     args, e = split_stack(c.coterm, CPush)
     if not isinstance(e, CStuckCo):
         raise ValueError("open co-term")

@@ -233,13 +233,8 @@ def _plugged_metrics(term: Term, args: Iterable[Term], binders: int) -> tuple[in
     return size + binders, depth + binders
 
 
-def _k_metrics(c: weakhead.KCommand) -> tuple[int, int]:
-    args, _ = split_stack(c.stack, weakhead.KPush)
-    return _plugged_metrics(c.term, args, 0)
-
-
-def _p_metrics(c: projection.PCommand) -> tuple[int, int]:
-    args, stuck = split_stack(c.coterm, projection.PPush)
+def _p_metrics(c: weakhead.PCommand) -> tuple[int, int]:
+    args, stuck = split_stack(c.coterm, weakhead.PPush)
     return _plugged_metrics(c.term, args, stuck.depth)
 
 
@@ -248,8 +243,8 @@ def _top_metrics(t: projection.TopTerm) -> tuple[int, int]:
     return size + t.binders, depth + t.binders
 
 
-def _h_metrics(c: headsimple.HCommand) -> tuple[int, int]:
-    args, stuck = split_stack(c.coterm, headsimple.HPush)
+def _h_metrics(c: weakhead.PCommand) -> tuple[int, int]:
+    args, stuck = split_stack(c.coterm, weakhead.PPush)
     return _plugged_metrics(c.term, args, len(stuck.binders))
 
 
@@ -291,12 +286,14 @@ def _control_load(t: Term) -> control.CCommand:
     return control.control_load(control.embed_term(t))
 
 
-def _control_readback(view, step_fn) -> Readback:
-    """Readback of a control machine: `view` reads its state as a state of
-    the substitution machine it simulates, and that machine reads back."""
+def _control_readback(step_fn) -> Readback:
+    """Readback of a control machine: its state, read as a state of the
+    substitution machine it simulates, reads back by that machine's
+    `step_fn`."""
 
     def readback(c: control.CCommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
-        return _machine_readback(step_fn, print_state)(view(c), emit, budget)
+        state = control.as_projection_command(c)
+        return _machine_readback(step_fn, print_state)(state, emit, budget)
 
     return readback
 
@@ -326,7 +323,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=weakhead.krivine_step,
         halt=_halt_unless(weakhead.krivine_terminal),
         readback=_machine_readback(weakhead.krivine_readback_step, print_state),
-        metrics=_k_metrics,
+        metrics=_p_metrics,
     ),
     Engine(
         name="wh-bigstep",
@@ -365,7 +362,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         name="head-proj",
         strategy="head",
         description="projection-based head machine over stuck co-terms",
-        load=projection.proj_load,
+        load=weakhead.krivine_load,
         step=projection.proj_step,
         halt=_halt_unless(projection.proj_terminal),
         readback=_machine_readback(projection.proj_readback_step, print_state),
@@ -384,7 +381,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         name="head-coalesced",
         strategy="head",
         description="head machine with projection chains coalesced into numeric offsets",
-        load=projection.proj_load,
+        load=weakhead.krivine_load,
         step=projection.proj_step,
         halt=_halt_unless(projection.proj_terminal),
         readback=_machine_readback(projection.proj_readback_step, _coalesced),
@@ -417,7 +414,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         name="env-head",
         strategy="head",
         description="coalesced head machine with persistent environments and closures",
-        load=envmachine.env_head_load,
+        load=envmachine.env_krivine_load,
         step=envmachine.env_head_step,
         halt=envmachine.env_head_halt,
         readback=_env_readback(coalesced=True),
@@ -432,7 +429,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=_control_load,
         step=control.control_step,
         halt=partial(control.control_halt, projective=False),
-        readback=_control_readback(control.as_krivine_command, weakhead.krivine_readback_step),
+        readback=_control_readback(weakhead.krivine_readback_step),
         metrics=_c_metrics,
     ),
     Engine(
@@ -442,7 +439,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=_control_load,
         step=control.control_proj_step,
         halt=partial(control.control_halt, projective=True),
-        readback=_control_readback(control.as_projection_command, projection.proj_readback_step),
+        readback=_control_readback(projection.proj_readback_step),
         metrics=_c_metrics,
     ),
 )}

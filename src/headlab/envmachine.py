@@ -3,10 +3,12 @@
 Variables are resolved through persistent environments instead of by
 substitution: pushing an argument captures the current environment in a
 closure, and binding extends the environment without mutating anything a
-previously built closure might share.  The head variant adds the
-projection machine's rule, binding the variable to a projection closure.
-Results are recovered by forcing: recursively substituting environment
-bindings back into the term, which gives a projection-machine state.
+previously built closure might share.  The head variant is the Krivine
+variant's rules (lookup, push, bind) plus the projection machine's
+`project`, which binds the variable of a lambda facing a stuck co-term to
+a projection closure.  Both load the same state.  Results are recovered
+by forcing: recursively substituting environment bindings back into the
+term, which gives a projection-machine state.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import App, Lam, Proj, Term, Var, all_names, fresh, split_stack, subst
-from .projection import PCommand, PPush, PStuck, PCoTerm
+from .weakhead import PCommand, PPush, PStuck, PCoTerm
 
 __all__ = [
     "Closure",
@@ -31,7 +33,6 @@ __all__ = [
     "env_krivine_load",
     "env_krivine_step",
     "env_krivine_halt",
-    "env_head_load",
     "env_head_step",
     "env_head_halt",
     "force",
@@ -155,29 +156,17 @@ def env_krivine_halt(c: ECommand) -> tuple[str, str]:
             return "stuck", "no transition applies"
 
 
-def env_head_load(t: Term) -> ECommand:
-    return ECommand(t, None, EStuck(0))
-
-
 def env_head_step(c: ECommand) -> Optional[tuple[str, ECommand]]:
-    match c.term:
-        case Var(name):
-            found = env_lookup(c.env, name)
-            if found is None:
-                return None
-            return "lookup", ECommand(found.term, found.env, c.coterm)
-        case App(fun, arg):
-            return "push", ECommand(fun, c.env, EPush(Closure(arg, c.env), c.coterm))
-        case Lam(binder, body):
-            match c.coterm:
-                case EPush(arg, rest):
-                    return "bind", ECommand(body, Binding(binder, arg, c.env), rest)
-                case EStuck(n):
-                    # The projection pairs up with the current environment
-                    # exactly as the rule is written, although nothing in a
-                    # projection ever needs looking up.
-                    bound = Binding(binder, Closure(Proj(n), c.env), c.env)
-                    return "project", ECommand(body, bound, EStuck(n + 1))
+    step = env_krivine_step(c)
+    if step is not None:
+        return step
+    match c:
+        case ECommand(Lam(binder, body), env, EStuck(n)):
+            # The projection pairs up with the current environment
+            # exactly as the rule is written, although nothing in a
+            # projection ever needs looking up.
+            bound = Binding(binder, Closure(Proj(n), env), env)
+            return "project", ECommand(body, bound, EStuck(n + 1))
         case _:
             return None
 

@@ -14,7 +14,6 @@ __all__ = ["GenConfig", "gen_term", "gen_terms"]
 @dataclass(frozen=True)
 class GenConfig:
     max_size: int = 30
-    pool_width: int = 26
     seed: int = 0
 
 
@@ -35,11 +34,11 @@ def gen_terms(cfg: GenConfig, count: int) -> Iterator[Term]:
     for _ in range(count):
         # Vary the target size across the stream; a corpus pinned at the
         # ceiling is both slower and less diverse than a mixed one.
-        term, _ = _gen(rng, cfg, (), rng.randint(floor, ceiling))
+        term, _ = _gen(rng, (), rng.randint(floor, ceiling))
         yield term
 
 
-def _gen(rng: random.Random, cfg: GenConfig, scope: tuple[str, ...], budget: int) -> tuple[Term, int]:
+def _gen(rng: random.Random, scope: tuple[str, ...], budget: int) -> tuple[Term, int]:
     k = len(scope)
     if budget <= 1:
         # Scope is never empty here: top-level calls get budget >= 2 and
@@ -52,11 +51,11 @@ def _gen(rng: random.Random, cfg: GenConfig, scope: tuple[str, ...], budget: int
     if pick < w_var:
         return Var(scope[rng.randrange(k)]), 1
     if pick < w_var + w_lam:
-        name = canonical_binder(k, cfg.pool_width)
-        body, used = _gen(rng, cfg, scope + (name,), budget - 1)
+        name = canonical_binder(k)
+        body, used = _gen(rng, scope + (name,), budget - 1)
         return Lam(name, body), used + 1
     floor = 2 if k == 0 else 1
     left_budget = rng.randint(floor, budget - 1 - floor)
-    fun, used_fun = _gen(rng, cfg, scope, left_budget)
-    arg, used_arg = _gen(rng, cfg, scope, budget - 1 - used_fun)
+    fun, used_fun = _gen(rng, scope, left_budget)
+    arg, used_arg = _gen(rng, scope, budget - 1 - used_fun)
     return App(fun, arg), used_fun + used_arg + 1

@@ -2,8 +2,9 @@
 
 The plain small-step relation (contract the head redex under the binder
 prefix), a machine that walks under binders by remembering them in the
-co-term, a big-step evaluator layered on weak-head evaluation, and
-Sestoft's big-step formulation.  The two big-step evaluators are kept
+co-term (on the Krivine machine's state, with `HStuck` at the bottom of
+the call stack), a big-step evaluator layered on weak-head evaluation,
+and Sestoft's big-step formulation.  The two big-step evaluators are kept
 independent so that their agreement, beta step for beta step, is an
 actual cross-check and not a tautology.
 """
@@ -15,16 +16,13 @@ from typing import Optional, Union
 
 from .fuel import FuelMeter
 from .syntax import App, Lam, NormalFormClass, Term, Var, strip_binders, subst, term_metrics
-from .weakhead import EvalContext, bigstep_wh, decompose_wh, plug
+from .weakhead import EvalContext, PCommand, PPush, bigstep_wh, decompose_wh, plug
 
 __all__ = [
     "HTopDecomp",
     "decompose_head",
     "step_head_os",
     "HStuck",
-    "HPush",
-    "HCoTerm",
-    "HCommand",
     "abs_load",
     "abs_machine_step",
     "abs_terminal",
@@ -82,52 +80,37 @@ class HStuck:
     binders: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class HPush:
-    arg: Term
-    rest: "HCoTerm"
+def abs_load(t: Term) -> PCommand:
+    return PCommand(t, HStuck(()))
 
 
-HCoTerm = Union[HStuck, HPush]
-
-
-@dataclass(frozen=True, slots=True)
-class HCommand:
-    term: Term
-    coterm: HCoTerm
-
-
-def abs_load(t: Term) -> HCommand:
-    return HCommand(t, HStuck(()))
-
-
-def abs_machine_step(c: HCommand) -> Optional[tuple[str, HCommand]]:
+def abs_machine_step(c: PCommand) -> Optional[tuple[str, PCommand]]:
     match c.term:
         case App(fun, arg):
-            return "push", HCommand(fun, HPush(arg, c.coterm))
+            return "push", PCommand(fun, PPush(arg, c.coterm))
         case Lam(binder, body):
             match c.coterm:
-                case HPush(arg, rest):
-                    return "beta", HCommand(subst(body, binder, arg), rest)
+                case PPush(arg, rest):
+                    return "beta", PCommand(subst(body, binder, arg), rest)
                 case HStuck(binders):
-                    return "descend", HCommand(body, HStuck((binder,) + binders))
+                    return "descend", PCommand(body, HStuck((binder,) + binders))
         case _:
             return None
     return None
 
 
-def abs_terminal(c: HCommand) -> bool:
+def abs_terminal(c: PCommand) -> bool:
     return isinstance(c.term, Var)
 
 
-def abs_readback_step(c: HCommand) -> tuple[str, Union[HCommand, Term]]:
+def abs_readback_step(c: PCommand) -> tuple[str, Union[PCommand, Term]]:
     match c.coterm:
-        case HPush(arg, rest):
-            return "pop", HCommand(App(c.term, arg), rest)
+        case PPush(arg, rest):
+            return "pop", PCommand(App(c.term, arg), rest)
         case HStuck(binders) if binders:
             # The stored binder was never substituted away, so it is
             # reattached verbatim.
-            return "lambda", HCommand(Lam(binders[0], c.term), HStuck(binders[1:]))
+            return "lambda", PCommand(Lam(binders[0], c.term), HStuck(binders[1:]))
         case _:
             return "done", c.term
 

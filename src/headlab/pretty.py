@@ -57,23 +57,17 @@ def print_term(t: Term) -> str:
     return _term(t, _TOP, "car")
 
 
-def _k_coterm(e: weakhead.KCoTerm) -> str:
-    args, _ = split_stack(e, weakhead.KPush)
-    return " . ".join([*(_term(arg, _ARG, "car") for arg in args), "tp"])
-
-
-def _p_coterm(e: projection.PCoTerm, style: str) -> str:
-    args, stuck = split_stack(e, projection.PPush)
-    tail = f"drop {stuck.depth} tp" if style == "pick" else _cdr_chain(stuck.depth)
+def _p_coterm(e: weakhead.PCoTerm, style: str) -> str:
+    args, stuck = split_stack(e, weakhead.PPush)
+    if isinstance(stuck, headsimple.HStuck):
+        tail = "tp"
+        for name in reversed(stuck.binders):
+            tail = f"Abs({name}, {tail})"
+    elif style == "pick":
+        tail = f"drop {stuck.depth} tp"
+    else:
+        tail = _cdr_chain(stuck.depth)
     return " . ".join([*(_term(arg, _ARG, style) for arg in args), tail])
-
-
-def _h_coterm(e: headsimple.HCoTerm) -> str:
-    args, stuck = split_stack(e, headsimple.HPush)
-    tail = "tp"
-    for name in reversed(stuck.binders):
-        tail = f"Abs({name}, {tail})"
-    return " . ".join([*(_term(arg, _ARG, "car") for arg in args), tail])
 
 
 def _c_term(t: control.CTerm, pos: int) -> str:
@@ -127,9 +121,7 @@ def _e_coterm(e: envmachine.ECoTerm, style: str) -> str:
 
 State = Union[
     Term,
-    weakhead.KCommand,
-    projection.PCommand,
-    headsimple.HCommand,
+    weakhead.PCommand,
     control.CCommand,
     envmachine.ECommand,
     projection.TopTerm,
@@ -142,12 +134,8 @@ def print_state(state: State, coalesced: bool = False) -> str:
     head-debruijn and env-head."""
     style = "pick" if coalesced else "car"
     match state:
-        case projection.PCommand():
+        case weakhead.PCommand():
             return f"<{_term(state.term, _TOP, style)} || {_p_coterm(state.coterm, style)}>"
-        case weakhead.KCommand():
-            return f"<{print_term(state.term)} || {_k_coterm(state.stack)}>"
-        case headsimple.HCommand():
-            return f"<{print_term(state.term)} || {_h_coterm(state.coterm)}>"
         case control.CCommand():
             return _c_command(state)
         case envmachine.ECommand():

@@ -7,6 +7,11 @@ those projections as references to a prefix of anonymous top-level
 binders.  The star/hash translations connect the index form to the plain
 named small-step semantics and are property-tested as inverses.
 
+The stack machine is the Krivine machine of `weakhead`, on its states,
+plus one rule: `project`, for a lambda facing a stuck co-term.  Its
+readback is the Krivine readback plus one move, `lambda`, which undoes a
+`project`.
+
 The paper's coalescing step, which replaces a chain of projections and a
 prefix of binders with a count, needs no machine of its own: `PStuck`,
 `Proj` and `TopTerm` already hold that count as one integer.  The
@@ -42,14 +47,9 @@ from .syntax import (
     split_stack,
     subst,
 )
-from .weakhead import decompose_wh, plug
+from .weakhead import PCommand, PPush, PStuck, decompose_wh, krivine_readback_step, krivine_step, plug
 
 __all__ = [
-    "PStuck",
-    "PPush",
-    "PCoTerm",
-    "PCommand",
-    "proj_load",
     "proj_step",
     "proj_terminal",
     "proj_readback_step",
@@ -63,52 +63,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PStuck:
-    """A stuck co-term: the top level with `depth` frames dropped."""
-
-    depth: int
-
-
-@dataclass(frozen=True, slots=True)
-class PPush:
-    arg: Term
-    rest: "PCoTerm"
-
-
-PCoTerm = Union[PStuck, PPush]
-
-
-@dataclass(frozen=True, slots=True)
-class PCommand:
-    term: Term
-    coterm: PCoTerm
-
-
-def proj_load(t: Term) -> PCommand:
-    return PCommand(t, PStuck(0))
-
-
 def proj_step(c: PCommand) -> Optional[tuple[str, PCommand]]:
-    """One transition of the projection machine.
-
-    Push and beta are the Krivine rules; "project" fires when a lambda
-    faces a stuck co-term: the variable becomes a projection out of that
-    co-term and evaluation continues under the (now implicit) binder.
-    """
-    match c.term:
-        case App(fun, arg):
-            return "push", PCommand(fun, PPush(arg, c.coterm))
-        case Lam(binder, body):
-            match c.coterm:
-                case PPush(arg, rest):
-                    return "beta", PCommand(subst(body, binder, arg), rest)
-                case PStuck(depth):
-                    next_term = subst(body, binder, Proj(depth))
-                    return "project", PCommand(next_term, PStuck(depth + 1))
+    """One transition of the projection machine: a Krivine transition, or
+    "project" when a lambda faces a stuck co-term.  The variable becomes a
+    projection out of that co-term and evaluation continues under the (now
+    implicit) binder."""
+    step = krivine_step(c)
+    if step is not None:
+        return step
+    match c:
+        case PCommand(Lam(binder, body), PStuck(depth)):
+            return "project", PCommand(subst(body, binder, Proj(depth)), PStuck(depth + 1))
         case _:
             return None
-    return None
 
 
 def proj_terminal(c: PCommand) -> bool:
@@ -116,19 +83,17 @@ def proj_terminal(c: PCommand) -> bool:
 
 
 def proj_readback_step(c: PCommand) -> tuple[str, Union[PCommand, Term]]:
-    """One readback move: fold a pushed argument back into an application,
-    or reverse one projection step by reintroducing a lambda whose binder
-    replaces the deepest projection still in scope."""
+    """One readback move: reverse one projection step by reintroducing a
+    lambda whose binder replaces the deepest projection still in scope,
+    or else a Krivine readback move."""
     match c.coterm:
-        case PPush(arg, rest):
-            return "pop", PCommand(App(c.term, arg), rest)
         case PStuck(depth) if depth > 0:
             hint = canonical_binder(depth - 1)
             x = fresh(all_names(c.term), hint)
             body = replace_atom(c.term, Proj(depth - 1), x)
             return "lambda", PCommand(Lam(x, body), PStuck(depth - 1))
         case _:
-            return "done", c.term
+            return krivine_readback_step(c)
 
 
 def is_legal_proj(c: PCommand) -> bool:

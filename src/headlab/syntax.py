@@ -147,12 +147,10 @@ class IllegalStateError(Exception):
 _POOL = "xyzwvutsrqponmlkjihgfedcba"
 
 
-def canonical_binder(k: int, width: int = 26) -> str:
+def canonical_binder(k: int) -> str:
     """Default binder name for nesting depth k: x, y, z, ... then x1, y1, ..."""
-    width = max(1, min(width, len(_POOL)))
-    stem = _POOL[k % width]
-    rnd = k // width
-    return stem if rnd == 0 else f"{stem}{rnd}"
+    rnd, stem = divmod(k, len(_POOL))
+    return _POOL[stem] if rnd == 0 else f"{_POOL[stem]}{rnd}"
 
 
 def free_vars(t: Term) -> frozenset[str]:

@@ -4,6 +4,11 @@ A contextual small-step relation, the Krivine machine with its load and
 readback rules, and a big-step evaluator.  The three are written as
 independent artifacts on purpose: the harness property-tests that they
 agree, which is only meaningful if none is defined in terms of another.
+
+The Krivine machine's state, a term facing a call stack over `TOP`, is
+also the state of the projection machine (these rules plus `project`,
+which drops frames off `TOP`) and of head-abs (whose call stack ends in
+`headsimple.HStuck` instead).
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ __all__ = [
     "plug",
     "decompose_wh",
     "step_wh_os",
-    "KTop",
-    "KPush",
-    "KCommand",
+    "PStuck",
+    "PPush",
+    "PCoTerm",
+    "PCommand",
     "TOP",
     "krivine_load",
     "krivine_step",
@@ -80,54 +86,56 @@ def step_wh_os(t: Term) -> Optional[Term]:
 
 
 @dataclass(frozen=True, slots=True)
-class KTop:
-    pass
+class PStuck:
+    """A stuck co-term: the top level with `depth` frames dropped."""
+
+    depth: int
 
 
 @dataclass(frozen=True, slots=True)
-class KPush:
+class PPush:
     arg: Term
-    rest: "KCoTerm"
+    rest: "PCoTerm"
 
 
-KCoTerm = Union[KTop, KPush]
-TOP = KTop()
+PCoTerm = Union[PStuck, PPush]
+TOP = PStuck(0)
 
 
 @dataclass(frozen=True, slots=True)
-class KCommand:
+class PCommand:
     term: Term
-    stack: KCoTerm
+    coterm: PCoTerm
 
 
-def krivine_load(t: Term) -> KCommand:
-    return KCommand(t, TOP)
+def krivine_load(t: Term) -> PCommand:
+    return PCommand(t, TOP)
 
 
-def krivine_step(c: KCommand) -> Optional[tuple[str, KCommand]]:
+def krivine_step(c: PCommand) -> Optional[tuple[str, PCommand]]:
     """Apply the one rule that matches, or None when the machine halts."""
     match c.term:
         case App(fun, arg):
-            return "push", KCommand(fun, KPush(arg, c.stack))
-        case Lam(binder, body) if isinstance(c.stack, KPush):
-            return "beta", KCommand(subst(body, binder, c.stack.arg), c.stack.rest)
+            return "push", PCommand(fun, PPush(arg, c.coterm))
+        case Lam(binder, body) if isinstance(c.coterm, PPush):
+            return "beta", PCommand(subst(body, binder, c.coterm.arg), c.coterm.rest)
         case _:
             return None
 
 
-def krivine_terminal(c: KCommand) -> bool:
+def krivine_terminal(c: PCommand) -> bool:
     """Halting states: a variable under any stack, or a lambda on the
     empty stack.  Distinct from merely `krivine_step returned None` so the
     harness can tell a finished run from a wedged one."""
     if isinstance(c.term, Var):
         return True
-    return isinstance(c.term, Lam) and isinstance(c.stack, KTop)
+    return isinstance(c.term, Lam) and c.coterm == TOP
 
 
-def krivine_readback_step(c: KCommand) -> tuple[str, Union[KCommand, Term]]:
-    match c.stack:
-        case KPush(arg, rest):
-            return "pop", KCommand(App(c.term, arg), rest)
+def krivine_readback_step(c: PCommand) -> tuple[str, Union[PCommand, Term]]:
+    match c.coterm:
+        case PPush(arg, rest):
+            return "pop", PCommand(App(c.term, arg), rest)
         case _:
             return "done", c.term
 

@@ -22,12 +22,12 @@ from headlab.headsimple import bigstep_h, bigstep_sestoft
 from headlab.parse import parse_term
 from headlab.projection import (
     is_legal_proj,
-    proj_load,
     proj_step,
     translate_hash,
     translate_star,
 )
 from headlab.syntax import Lam, NormalFormClass, alpha_eq, classify
+from headlab.weakhead import krivine_load
 from conftest import CORPUS_FUEL, CORPUS_SEED
 from helpers import db_subst, gen_top_term, outcome_key, peel, to_db
 
@@ -201,7 +201,7 @@ def test_criterion_10_legality_preservation(corpus1000):
     for term in corpus1000:
         if len(proj_states) >= 500 and len(control_states) >= 500:
             break
-        state = proj_load(term)
+        state = krivine_load(term)
         for _ in range(rng.randrange(1, 30)):
             nxt = proj_step(state)
             if nxt is None:

@@ -17,7 +17,7 @@ from headlab.control import (
     Case,
     CoVar,
     Mu,
-    as_krivine_command,
+    as_projection_command,
     control_halt,
     control_load,
     control_proj_step,
@@ -203,7 +203,7 @@ class TestEmbedding:
             control_state = control_load(embed_term(term))
             krivine_state = krivine_load(term)
             for _ in range(80):
-                assert as_krivine_command(control_state) == krivine_state
+                assert as_projection_command(control_state) == krivine_state
                 control_next = control_step(control_state)
                 krivine_next = krivine_step(krivine_state)
                 if control_next is None or krivine_next is None:

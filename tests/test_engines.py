@@ -3,12 +3,15 @@ comparison, and the command-line interface."""
 
 import collections
 import dataclasses
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from headlab import envmachine, pretty, projection, syntax
+import headlab
+from headlab import envmachine, pretty, projection, syntax, weakhead
 from headlab.cli import main
 from headlab.engines import (
     CONTROL_ENGINE_NAMES,
@@ -174,6 +177,37 @@ class TestGoldenOutcomes:
         assert golden_entry(control_outcomes[name], golden_traces[name]) == self.GOLDEN[name]
 
 
+class TestHeadMachineIsWeakHeadPlusOneRule:
+    """Each head machine runs its weak-head machine's transitions until it
+    first applies the one rule it adds (the paper's claim that head
+    reduction keeps weak-head reduction's ease of implementation).
+    env-head prints its states with pick/drop offsets, so for that pair
+    only the rules are compared."""
+
+    @pytest.mark.parametrize(
+        "weak_head, head, extra, states",
+        [
+            ("krivine", "head-proj", "project", True),
+            ("env-krivine", "env-head", "project", False),
+            ("control-krivine", "control-proj", "split", True),
+        ],
+    )
+    def test_reduce_events_agree_until_the_extra_rule(self, golden_traces, weak_head, head, extra, states):
+        def reduce_events(trace):
+            events = []
+            for event in trace.events:
+                if event.phase != "reduce":
+                    continue
+                if event.rule == extra:
+                    break
+                events.append((event.rule, event.state) if states else event.rule)
+            return events
+
+        for wh_trace, head_trace in zip(golden_traces[weak_head], golden_traces[head], strict=True):
+            assert all(e.rule != extra for e in wh_trace.events)
+            assert reduce_events(wh_trace) == reduce_events(head_trace)
+
+
 class TestReadbackDriver:
     """The one readback driver refuses a term that still holds a Proj or an
     Index: such a term means the run reached an illegal state."""
@@ -181,7 +215,7 @@ class TestReadbackDriver:
     # (engine, its readback step, an illegal state, the one rule applied
     # before the driver finds the leftover atom)
     ILLEGAL = (
-        ("head-proj", projection.proj_readback_step, projection.PCommand(Proj(5), projection.PStuck(1)), "lambda"),
+        ("head-proj", projection.proj_readback_step, weakhead.PCommand(Proj(5), weakhead.PStuck(1)), "lambda"),
         ("head-os-derived", projection.derived_readback_step, projection.TopTerm(1, Index(5)), "name"),
     )
 
@@ -195,8 +229,8 @@ class TestReadbackDriver:
     @pytest.mark.parametrize(
         "engine, state",
         [
-            ("head-proj", projection.PCommand(Proj(5), projection.PStuck(1))),
-            ("head-coalesced", projection.PCommand(Proj(5), projection.PStuck(1))),
+            ("head-proj", weakhead.PCommand(Proj(5), weakhead.PStuck(1))),
+            ("head-coalesced", weakhead.PCommand(Proj(5), weakhead.PStuck(1))),
             ("head-os-derived", projection.TopTerm(1, Index(5))),
             ("head-debruijn", projection.TopTerm(1, Index(5))),
         ]
@@ -218,7 +252,7 @@ class TestReadbackDriver:
 
     def test_legal_state_reads_back_and_emits_done(self):
         events = []
-        state = projection.PCommand(Proj(0), projection.PStuck(1))
+        state = weakhead.PCommand(Proj(0), weakhead.PStuck(1))
         result = _machine_readback(projection.proj_readback_step, print_state)(
             state, lambda *event: events.append(event), None
         )
@@ -392,6 +426,43 @@ class TestCli:
         assert summary["outcome"] == "Normal"
         assert summary["result"] == "y"
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                r"x ((\y.y) z)",
+                [
+                    r"load load <x (case[(y . k0).<y || k0>] z) || tp>",
+                    r"reduce push <x || (case[(y . k0).<y || k0>] z) . tp>",
+                    r"readback pop <x ((\y.y) z) || tp>",
+                    r"readback done x ((\y.y) z)",
+                    r"x ((\y.y) z)",
+                ],
+            ),
+            (
+                r"x (\y.y) z",
+                [
+                    r"load load <x case[(y . k0).<y || k0>] z || tp>",
+                    r"reduce push <x case[(y . k0).<y || k0>] || z . tp>",
+                    r"reduce push <x || case[(y . k0).<y || k0>] . z . tp>",
+                    r"readback pop <x (\y.y) || z . tp>",
+                    r"readback pop <x (\y.y) z || tp>",
+                    r"readback done x (\y.y) z",
+                    r"x (\y.y) z",
+                ],
+            ),
+        ],
+    )
+    def test_eval_trace_control_krivine_readback(self, source, expected, tmp_path, capsys):
+        # A neutral weak-head normal form: control-krivine halts on the
+        # variable and reads its stacked arguments back on.
+        src = tmp_path / "t.lam"
+        src.write_text(source)
+        code = main(["eval", "--engine", "control-krivine", "--trace", str(src)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert out.splitlines() == expected
+
     def test_eval_fuel_exhausted_exit_code(self, tmp_path, capsys):
         src = tmp_path / "omega.lam"
         src.write_text(OMEGA)
@@ -521,3 +592,13 @@ class TestCli:
         out, _ = capsys.readouterr()
         assert code == 0
         assert "krivine" in out and "head-os" not in out
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(m.name for m in pkgutil.iter_modules(headlab.__path__) if m.name != "__main__"),
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"headlab.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

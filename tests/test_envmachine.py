@@ -12,7 +12,6 @@ from headlab.envmachine import (
     EPush,
     EStuck,
     env_head_halt,
-    env_head_load,
     env_head_step,
     env_krivine_halt,
     env_krivine_load,
@@ -77,7 +76,7 @@ class TestKrivineRules:
 
 class TestHeadRules:
     def test_projection_binding(self):
-        state = env_head_load(T(r"\x.(\y.y) x"))
+        state = env_krivine_load(T(r"\x.(\y.y) x"))
         rule, nxt = env_head_step(state)
         assert rule == "project"
         assert nxt == ECommand(
@@ -193,7 +192,7 @@ class TestAgainstSubstitutionTwins:
                 assert type(mine).__name__ == type(twin).__name__
 
     def test_push_and_beta_counts_match_twins(self, corpus120):
-        from headlab.projection import proj_load, proj_step
+        from headlab.projection import proj_step
         from headlab.weakhead import krivine_load, krivine_step
 
         for term in corpus120:
@@ -206,8 +205,8 @@ class TestAgainstSubstitutionTwins:
             assert env_rules.count("bind") == sub_rules.count("beta")
 
             try:
-                env_state, env_rules = run(env_head_step, env_head_load(term))
-                sub_state, sub_rules = run(proj_step, proj_load(term))
+                env_state, env_rules = run(env_head_step, env_krivine_load(term))
+                sub_state, sub_rules = run(proj_step, krivine_load(term))
             except AssertionError:
                 continue
             assert env_rules.count("push") == sub_rules.count("push")

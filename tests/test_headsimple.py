@@ -3,8 +3,6 @@ big-step evaluators with their beta-order agreement."""
 
 from headlab.fuel import FuelMeter, OutOfFuel
 from headlab.headsimple import (
-    HCommand,
-    HPush,
     HStuck,
     abs_load,
     abs_machine_step,
@@ -16,6 +14,7 @@ from headlab.headsimple import (
     step_head_os,
 )
 from headlab.parse import parse_term
+from headlab.weakhead import PCommand, PPush
 from headlab.syntax import (
     App,
     Lam,
@@ -110,25 +109,25 @@ class TestSmallStep:
 class TestAbsMachine:
     def test_descend_rule(self):
         rule, nxt = abs_machine_step(abs_load(T(r"\x.(\y.y) x")))
-        assert (rule, nxt) == ("descend", HCommand(T(r"(\y.y) x"), HStuck(("x",))))
+        assert (rule, nxt) == ("descend", PCommand(T(r"(\y.y) x"), HStuck(("x",))))
 
     def test_push_rule(self):
-        rule, nxt = abs_machine_step(HCommand(T(r"(\y.y) x"), HStuck(("x",))))
-        assert (rule, nxt) == ("push", HCommand(T(r"\y.y"), HPush(Var("x"), HStuck(("x",)))))
+        rule, nxt = abs_machine_step(PCommand(T(r"(\y.y) x"), HStuck(("x",))))
+        assert (rule, nxt) == ("push", PCommand(T(r"\y.y"), PPush(Var("x"), HStuck(("x",)))))
 
     def test_beta_then_full_run_matches_smallstep(self):
-        rule, nxt = abs_machine_step(HCommand(T(r"\y.y"), HPush(Var("x"), HStuck(("x",)))))
-        assert (rule, nxt) == ("beta", HCommand(Var("x"), HStuck(("x",))))
+        rule, nxt = abs_machine_step(PCommand(T(r"\y.y"), PPush(Var("x"), HStuck(("x",)))))
+        assert (rule, nxt) == ("beta", PCommand(Var("x"), HStuck(("x",))))
         assert abs_terminal(nxt)
         assert read_back(abs_readback_step, nxt) == T(r"\x.x")
         assert step_head_os(T(r"\x.(\y.y) x")) == T(r"\x.x")
 
     def test_readback_examples(self):
-        assert read_back(abs_readback_step, HCommand(Var("x"), HStuck(("x",)))) == T(r"\x.x")
-        state = HCommand(Var("x"), HPush(Var("y"), HStuck(("x",))))
+        assert read_back(abs_readback_step, PCommand(Var("x"), HStuck(("x",)))) == T(r"\x.x")
+        state = PCommand(Var("x"), PPush(Var("y"), HStuck(("x",))))
         assert read_back(abs_readback_step, state) == T(r"\x.x y")
         assert step_head_os(T(r"\x.x y")) is None
-        assert read_back(abs_readback_step, HCommand(T("v w"), HStuck(()))) == T("v w")
+        assert read_back(abs_readback_step, PCommand(T("v w"), HStuck(()))) == T("v w")
 
     def test_shadowed_binders_survive(self):
         # Descending under two binders with the same name must read back

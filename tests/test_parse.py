@@ -7,9 +7,9 @@ import pytest
 from headlab.parse import ParseError, parse_term
 from headlab.pretty import print_state, print_term
 from headlab.envmachine import Binding, Closure, ECommand, EPush, EStuck
-from headlab.projection import PCommand, PPush, PStuck, TopTerm
+from headlab.projection import TopTerm
 from headlab.syntax import App, Index, Lam, Proj, Var
-from headlab.weakhead import KCommand, TOP
+from headlab.weakhead import TOP, PCommand, PPush, PStuck
 from helpers import peel
 
 
@@ -97,7 +97,7 @@ class TestPrint:
 
 class TestPrintState:
     def test_krivine_empty_stack(self):
-        state = KCommand(Lam("x", Var("x")), TOP)
+        state = PCommand(Lam("x", Var("x")), TOP)
         assert print_state(state) == r"<\x.x || tp>"
 
     def test_projection_state(self):

@@ -6,15 +6,11 @@ import random
 from headlab.headsimple import step_head_os
 from headlab.parse import parse_term
 from headlab.projection import (
-    PCommand,
-    PPush,
-    PStuck,
     TopTerm,
     derived_readback_step,
     derived_step,
     is_legal_proj,
     is_legal_top,
-    proj_load,
     proj_readback_step,
     proj_step,
     proj_terminal,
@@ -22,6 +18,7 @@ from headlab.projection import (
     translate_star,
 )
 from headlab.syntax import App, Index, Lam, Proj, Var, alpha_eq, replace_atom
+from headlab.weakhead import PCommand, PPush, PStuck, krivine_load
 from helpers import gen_top_term, read_back
 
 
@@ -33,7 +30,7 @@ class TestMachineTrace:
     def test_worked_example_states_and_rules(self):
         # \x.(\y.y) x runs through three reductions and two readback moves
         # down to \x.x.
-        state = proj_load(T(r"\x.(\y.y) x"))
+        state = krivine_load(T(r"\x.(\y.y) x"))
         rule1, s1 = proj_step(state)
         assert (rule1, s1) == ("project", PCommand(App(Lam("y", Var("y")), Proj(0)), PStuck(1)))
         rule2, s2 = proj_step(s1)
@@ -73,7 +70,7 @@ class TestReadback:
             (PCommand(Proj(1), PStuck(2)), T(r"\a.\b.b")),
         ):
             assert step_head_os(expected) is None
-            halted = proj_load(expected)
+            halted = krivine_load(expected)
             while (nxt := proj_step(halted)) is not None:
                 halted = nxt[1]
             assert halted == state
@@ -90,7 +87,7 @@ class TestReadback:
         # Wherever the machine just projected, one readback step undoes it
         # up to the binder name.
         for term in corpus120[:60]:
-            state = proj_load(term)
+            state = krivine_load(term)
             for _ in range(60):
                 nxt = proj_step(state)
                 if nxt is None:
@@ -135,7 +132,7 @@ class TestLegality:
 
     def test_preserved_along_runs(self, corpus120):
         for term in corpus120:
-            state = proj_load(term)
+            state = krivine_load(term)
             for _ in range(80):
                 assert is_legal_proj(state)
                 nxt = proj_step(state)
@@ -248,7 +245,7 @@ class TestAgainstProjectionMachine:
                 continue
             assert is_legal_top(top)
 
-            state = proj_load(term)
+            state = krivine_load(term)
             fuel = 0
             while fuel <= 3000:
                 nxt = proj_step(state)

@@ -16,6 +16,7 @@ from headlab.syntax import (
     Var,
     all_names,
     alpha_eq,
+    canonical_binder,
     classify,
     free_vars,
     fresh,
@@ -229,6 +230,12 @@ class TestClassify:
     def test_engine_atoms_are_neutral(self):
         assert classify(Proj(0)) is NormalFormClass.NEUTRAL
         assert classify(App(Index(1), Var("x"))) is NormalFormClass.NEUTRAL
+
+
+class TestCanonicalBinder:
+    @pytest.mark.parametrize("k, name", [(0, "x"), (25, "a"), (26, "x1"), (52, "x2")])
+    def test_names_by_depth(self, k, name):
+        assert canonical_binder(k) == name
 
 
 class TestFresh:

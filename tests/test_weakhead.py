@@ -16,9 +16,9 @@ from headlab.syntax import (
     classify,
 )
 from headlab.weakhead import (
-    KCommand,
-    KPush,
     TOP,
+    PCommand,
+    PPush,
     bigstep_wh,
     decompose_wh,
     krivine_load,
@@ -98,23 +98,23 @@ class TestSmallStep:
 
 class TestKrivine:
     def test_load(self):
-        assert krivine_load(Var("x")) == KCommand(Var("x"), TOP)
+        assert krivine_load(Var("x")) == PCommand(Var("x"), TOP)
 
     def test_push_rule(self):
         rule, nxt = krivine_step(krivine_load(T(r"(\x.x) y")))
         assert rule == "push"
-        assert nxt == KCommand(Lam("x", Var("x")), KPush(Var("y"), TOP))
+        assert nxt == PCommand(Lam("x", Var("x")), PPush(Var("y"), TOP))
 
     def test_beta_rule(self):
-        rule, nxt = krivine_step(KCommand(Lam("x", Var("x")), KPush(Var("y"), TOP)))
+        rule, nxt = krivine_step(PCommand(Lam("x", Var("x")), PPush(Var("y"), TOP)))
         assert rule == "beta"
-        assert nxt == KCommand(Var("y"), TOP)
+        assert nxt == PCommand(Var("y"), TOP)
 
     def test_terminal_states(self):
-        lam_on_top = KCommand(Lam("x", Var("x")), TOP)
+        lam_on_top = PCommand(Lam("x", Var("x")), TOP)
         assert krivine_step(lam_on_top) is None
         assert krivine_terminal(lam_on_top)
-        var_on_stack = KCommand(Var("x"), KPush(Var("y"), TOP))
+        var_on_stack = PCommand(Var("x"), PPush(Var("y"), TOP))
         assert krivine_step(var_on_stack) is None
         assert krivine_terminal(var_on_stack)
 
@@ -123,23 +123,23 @@ class TestKrivine:
         # the state shape: App always pushes, Lam+push always contracts,
         # everything else halts.
         terms = [Var("x"), T(r"\x.x"), T("x y"), T(r"(\x.x) z")]
-        stacks = [TOP, KPush(Var("z"), TOP), KPush(T(r"\w.w"), KPush(Var("q"), TOP))]
+        stacks = [TOP, PPush(Var("z"), TOP), PPush(T(r"\w.w"), PPush(Var("q"), TOP))]
         for term in terms:
             for stack in stacks:
-                state = KCommand(term, stack)
+                state = PCommand(term, stack)
                 applicable = []
                 if isinstance(term, App):
                     applicable.append("push")
-                if isinstance(term, Lam) and isinstance(stack, KPush):
+                if isinstance(term, Lam) and isinstance(stack, PPush):
                     applicable.append("beta")
                 assert len(applicable) <= 1
                 stepped = krivine_step(state)
                 assert (stepped[0] if stepped else None) == (applicable[0] if applicable else None)
 
     def test_readback_examples(self):
-        assert read_back(krivine_readback_step, KCommand(Lam("x", Var("x")), TOP)) == T(r"\x.x")
-        assert read_back(krivine_readback_step, KCommand(Var("x"), KPush(Var("y"), TOP))) == T("x y")
-        deep = KCommand(Var("x"), KPush(Var("y"), KPush(Var("z"), TOP)))
+        assert read_back(krivine_readback_step, PCommand(Lam("x", Var("x")), TOP)) == T(r"\x.x")
+        assert read_back(krivine_readback_step, PCommand(Var("x"), PPush(Var("y"), TOP))) == T("x y")
+        deep = PCommand(Var("x"), PPush(Var("y"), PPush(Var("z"), TOP)))
         assert read_back(krivine_readback_step, deep) == T("x y z")
 
     def test_readback_inverts_decomposition(self, corpus120):
@@ -154,8 +154,8 @@ class TestKrivine:
                     break
                 state = nxt[1]
             args = []
-            stack = state.stack
-            while isinstance(stack, KPush):
+            stack = state.coterm
+            while isinstance(stack, PPush):
                 args.append(stack.arg)
                 stack = stack.rest
             assert read_back(krivine_readback_step, state) == plug(tuple(reversed(args)), state.term)
