@@ -73,6 +73,8 @@ DEFAULT_FUEL = 100000
 #   their FuelMeter, with no size or depth cap;
 # - the environment machines report (1, 1), so only the work cap stops
 #   them, after up to 500k transitions of a diverging run (see _e_metrics);
+#   nearly all are lookups, which an untraced run jumps a chain at a time
+#   (Engine.chain) while still counting each one;
 # - the control machines measure command size, read off the size field
 #   every control node carries, and no depth.
 # On the corpus krivine ends 36 runs on the beta budget and 21 on work,
@@ -187,6 +189,9 @@ class Engine:
     metrics: Callable[[object], tuple[int, int]] = term_metrics
     beta_rules: frozenset[str] = frozenset(("beta",))
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
+    # chain(state, limit) -> (n, state'): n <= limit non-beta transitions in
+    # one jump (envmachine.env_lookups); untraced runs only.
+    chain: Optional[Callable[[object, int], tuple[int, object]]] = None
 
 
 class UnknownEngineError(ValueError):
@@ -252,9 +257,11 @@ def _e_metrics(c: envmachine.ECommand) -> tuple[int, int]:
     # Every state counts as one node, so neither the size nor the depth cap
     # can fire: a diverging run goes on through chains of variable lookups
     # until the work cap stops it at MAX_TOTAL_WORK transitions (55 and 57
-    # corpus runs of env-krivine and env-head end so).  Forcing has its own
-    # node budget at readback.  One measure shared with the other engines is
-    # item 3 of ROADMAP.md.
+    # corpus runs of env-krivine and env-head end so).  Work still counts one
+    # per lookup, but an untraced run takes each chain in one jump
+    # (envmachine.env_lookups), so those runs cost about their betas.
+    # Forcing has its own node budget at readback.  One measure shared with
+    # the other engines is item 3 of ROADMAP.md.
     return 1, 1
 
 
@@ -341,6 +348,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         readback=_env_readback(coalesced=False),
         metrics=_e_metrics,
         beta_rules=frozenset(("bind",)),
+        chain=envmachine.env_lookups,
     ),
     Engine(
         name="head-os",
@@ -421,6 +429,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         render=_coalesced,
         metrics=_e_metrics,
         beta_rules=frozenset(("bind",)),
+        chain=envmachine.env_lookups,
     ),
     Engine(
         name="control-krivine",
@@ -518,7 +527,15 @@ def evaluate(
         steps_left = MAX_TOTAL_WORK
         step_fn = eng.step
         beta_rules = eng.beta_rules
+        # A traced run steps every transition, since each is an event.
+        chain = eng.chain if tr is None else None
         while True:
+            if chain is not None:
+                # The limit is the transition that would pass the work cap.
+                n, state = chain(state, steps_left - steps + 1)
+                steps += n
+                if steps > steps_left:
+                    return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
             nxt = step_fn(state)
             if nxt is None:
                 break

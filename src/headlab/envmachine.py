@@ -9,12 +9,22 @@ variant's rules (lookup, push, bind) plus the projection machine's
 a projection closure.  Both load the same state.  Results are recovered
 by forcing: recursively substituting environment bindings back into the
 term, which gives a projection-machine state.
+
+A variable can be bound to a closure whose term is again a variable, and
+such renaming chains grow by a link per beta on some diverging terms, so a
+run can spend nearly all its transitions on `lookup`.  Each `Closure` keeps
+a memo, `_chain`: how many lookups a command focused on it makes, and the
+closure it then focuses.  Closures and environments are immutable, so the
+pair depends only on the closure and filling it is an idempotent cache, as
+the term nodes' free-variable memos are.  `env_lookups` takes a whole chain
+in one jump for an untraced run, and `force` jumps it instead of recursing
+once per link.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .syntax import App, Lam, Proj, Term, Var, all_names, fresh, split_stack, subst
@@ -25,6 +35,7 @@ __all__ = [
     "Binding",
     "Env",
     "env_lookup",
+    "env_lookups",
     "EPush",
     "EStuck",
     "ECoTerm",
@@ -44,10 +55,15 @@ __all__ = [
 class Closure:
     term: Term
     env: "Env"
+    # (hops, end): a command focused on this closure makes `hops` lookups
+    # and then focuses `end`, a non-variable or an unbound variable.  Filled
+    # by `_chain_of` for bound variables only; outside ==, hash and repr.
+    _chain: Optional[tuple[int, "Closure"]] = field(init=False, compare=False, repr=False)
 
     def __init__(self, term: Term, env: "Env") -> None:
         _closure_term(self, term)
         _closure_env(self, env)
+        _closure_chain(self, None)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -108,7 +124,9 @@ class ECommand:
 # hand-written __init__ methods above write through the slot descriptors,
 # which is cheaper than the object.__setattr__ calls of a generated frozen
 # __init__ (the same idiom as syntax.App and syntax.Lam).
-_closure_term, _closure_env = (getattr(Closure, name).__set__ for name in ("term", "env"))
+_closure_term, _closure_env, _closure_chain = (
+    getattr(Closure, name).__set__ for name in ("term", "env", "_chain")
+)
 _binding_name, _binding_value, _binding_rest = (
     getattr(Binding, name).__set__ for name in ("name", "value", "rest")
 )
@@ -116,6 +134,51 @@ _epush_arg, _epush_rest = (getattr(EPush, name).__set__ for name in ("arg", "res
 _ecommand_term, _ecommand_env, _ecommand_coterm = (
     getattr(ECommand, name).__set__ for name in ("term", "env", "coterm")
 )
+
+
+def _chain_of(c: Closure) -> tuple[int, Closure]:
+    """The (hops, end) of `c`: the lookups a command focused on it makes and
+    the closure it then focuses.  A loop, so a chain of any length fits the
+    stack; each bound-variable closure it passes keeps its own pair."""
+    path = []
+    while c._chain is None:
+        term = c.term
+        if not isinstance(term, Var):
+            break
+        found = env_lookup(c.env, term.name)
+        if found is None:
+            break
+        path.append(c)
+        c = found
+    chain = c._chain or (0, c)
+    for link in reversed(path):
+        chain = (chain[0] + 1, chain[1])
+        _closure_chain(link, chain)
+    return chain
+
+
+def env_lookups(c: ECommand, limit: int) -> tuple[int, ECommand]:
+    """Take up to `limit` lookup transitions at once.
+
+    Returns how many were taken and the state they reach, which is the state
+    that many `lookup` steps of `env_krivine_step` reach, or (0, c) when the
+    focus is not a bound variable.  Unless `limit` cuts it short, the run is
+    the whole chain: 1 + the hops of the closure the first lookup finds.
+    """
+    term = c.term
+    if not isinstance(term, Var):
+        return 0, c
+    found = env_lookup(c.env, term.name)
+    if found is None:
+        return 0, c
+    hops, end = _chain_of(found)
+    if hops < limit:
+        return 1 + hops, ECommand(end.term, end.env, c.coterm)
+    # The limit falls inside the chain: walk just that prefix.
+    end = found
+    for _ in range(limit - 1):
+        end = env_lookup(end.env, end.term.name)
+    return limit, ECommand(end.term, end.env, c.coterm)
 
 
 class ForceBudgetExceeded(Exception):
@@ -193,8 +256,8 @@ def force(closure: Closure, max_nodes: Optional[int] = None) -> Term:
     markers = itertools.count()
     produced = [0]
 
-    def note() -> None:
-        produced[0] += 1
+    def note(nodes: int = 1) -> None:
+        produced[0] += nodes
         if max_nodes is not None and produced[0] > max_nodes:
             raise ForceBudgetExceeded()
 
@@ -205,7 +268,11 @@ def force(closure: Closure, max_nodes: Optional[int] = None) -> Term:
                 found = env_lookup(env, name)
                 if found is None:
                     return t
-                return go(found.term, found.env)
+                # Jump the lookup chain, charging each variable it skips as
+                # one node, as stepping through them one call each would.
+                hops, end = _chain_of(found)
+                note(hops)
+                return go(end.term, end.env)
             case App(fun, arg):
                 return App(go(fun, env), go(arg, env))
             case Lam(binder, body):

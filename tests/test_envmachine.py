@@ -5,22 +5,27 @@ import dataclasses
 
 import pytest
 
+from headlab import engines
 from headlab.envmachine import (
     Binding,
     Closure,
     ECommand,
     EPush,
     EStuck,
+    ForceBudgetExceeded,
     env_head_halt,
     env_head_step,
     env_krivine_halt,
     env_krivine_load,
     env_krivine_step,
+    env_lookups,
     force,
 )
-from headlab.engines import evaluate, Normal
+from headlab.engines import FuelExhausted, evaluate, Normal
 from headlab.parse import parse_term
 from headlab.syntax import App, Lam, Proj, Var, alpha_eq
+from conftest import CORPUS_FUEL
+from helpers import TRACE_FUEL
 
 
 def T(src):
@@ -123,6 +128,129 @@ class TestForce:
         assert forced == Lam(forced.binder, App(Var(forced.binder), Var("x")))
 
 
+def renaming_chain(links):
+    """An environment binding x0 to a closure of x1, x1 to one of x2, and so
+    on: forcing x0 takes `links` lookups and ends on the unbound x<links>."""
+    env = None
+    for i in reversed(range(links)):
+        env = Binding(f"x{i}", Closure(Var(f"x{i + 1}"), env), env)
+    return env
+
+
+class TestForceChains:
+    def test_forces_a_chain_longer_than_the_recursion_limit(self):
+        # 40,000 links against the 30,000 frames of tests/conftest.py: one
+        # frame per link would raise RecursionError.
+        env = renaming_chain(40_000)
+        assert force(Closure(Var("x0"), env)) == Var("x40000")
+        assert force(Closure(Var("x1"), env), max_nodes=40_000) == Var("x40000")
+
+    def test_budget_counts_every_link(self):
+        env = renaming_chain(40_000)
+        force(Closure(Var("x0"), env))  # every link's chain memo is filled
+        with pytest.raises(ForceBudgetExceeded):
+            force(Closure(Var("x0"), env), max_nodes=10)
+        # One node per variable on the path: x0 .. x40000.
+        assert force(Closure(Var("x0"), env), max_nodes=40_001) == Var("x40000")
+        with pytest.raises(ForceBudgetExceeded):
+            force(Closure(Var("x0"), env), max_nodes=40_000)
+
+
+# The corpus terms (of the first 100) that env-krivine and env-head run to
+# the work cap through lookup chains, and the smallest term that does so.
+GUARD_INDICES = (1, 6, 22, 76, 81)
+GUARD_TERM = r"(\x.x x) (\x.x x) (\x y.x)"
+ENV_ENGINES = ("env-krivine", "env-head")
+
+
+def stepped_lookups(state, step_fn):
+    """The states after each of the lookups `step_fn` makes from `state`."""
+    states = []
+    while (nxt := step_fn(state)) is not None and nxt[0] == "lookup":
+        state = nxt[1]
+        states.append(state)
+    return states
+
+
+class TestChainJump:
+    """An untraced run takes each lookup chain in one jump; a traced run
+    steps every lookup and is the reference."""
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_untraced_matches_traced_on_corpus(self, corpus120, name):
+        guards = {corpus120[i] for i in GUARD_INDICES}
+        for term in corpus120:
+            for applied in (term, App(term, Var("y")), App(term, Var("x"))):
+                # A traced guard run renders all of its 500k states, so
+                # the guard terms get the traced check at TRACE_FUEL here
+                # and the full-fuel check against the stepping row below.
+                fuel = TRACE_FUEL if term in guards else CORPUS_FUEL
+                assert evaluate(applied, name, fuel)[0] == evaluate(applied, name, fuel, trace=True)[0]
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_guard_terms_match_the_stepping_row(self, corpus120, monkeypatch, name):
+        # Without `chain` the untraced loop steps every lookup, as a traced
+        # run does, minus the renders.
+        jumped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
+        monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=None))
+        stepped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
+        assert jumped == stepped
+        assert all(isinstance(o, FuelExhausted) and o.reason == "work budget" for o in stepped)
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_work_cap_inside_a_chain(self, monkeypatch, name):
+        jumps = []
+
+        def spy(state, limit):
+            n, state = env_lookups(state, limit)
+            jumps.append((n, limit, state))
+            return n, state
+
+        monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=spy))
+        term, cut_inside = T(GUARD_TERM), None
+        for cap in range(1, 401):
+            monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
+            jumps.clear()
+            untraced = evaluate(term, name, CORPUS_FUEL)[0]
+            assert untraced == evaluate(term, name, CORPUS_FUEL, trace=True)[0]
+            assert isinstance(untraced, FuelExhausted) and untraced.reason == "work budget"
+            n, limit, last = jumps[-1]
+            if n == limit and env_lookups(last, 1)[0]:
+                cut_inside = cap
+        # Some caps do fall inside a chain: the jump stopped on a bound variable.
+        assert cut_inside
+
+    @pytest.mark.parametrize("step_fn", [env_krivine_step, env_head_step])
+    def test_env_lookups_equals_single_lookups(self, corpus120, step_fn):
+        for term in [T(GUARD_TERM)] + [corpus120[i] for i in GUARD_INDICES]:
+            state, chains = env_krivine_load(term), 0
+            for _ in range(3_000):
+                run = stepped_lookups(state, step_fn)
+                if run:
+                    chains += 1
+                    for k in range(1, len(run) + 1):
+                        assert env_lookups(state, k) == (k, run[k - 1])
+                    assert env_lookups(state, len(run) + 5) == (len(run), run[-1])
+                    # From inside the chain, now with every memo filled.
+                    for j, mid in enumerate(run):
+                        assert env_lookups(mid, 10**6) == (len(run) - 1 - j, run[-1])
+                else:
+                    assert env_lookups(state, 5) == (0, state)
+                nxt = step_fn(state)
+                if nxt is None:
+                    break
+                state = nxt[1]
+            assert chains
+
+    def test_chain_ending_on_an_unbound_variable(self):
+        env = Binding("x", Closure(Var("y"), Binding("y", Closure(Var("z"), None), None)), None)
+        state = ECommand(Var("x"), env, EStuck(0))
+        end = ECommand(Var("z"), None, EStuck(0))
+        assert env_lookups(state, 10) == (2, end)
+        assert env_lookups(state, 1) == (1, ECommand(Var("y"), env.value.env, EStuck(0)))
+        assert env_krivine_step(end) is None and env_lookups(end, 10) == (0, end)
+
+
 class TestPersistence:
     def test_extension_never_mutates_shared_tails(self):
         base = Binding("x", Closure(Var("a"), None), None)
@@ -170,6 +298,19 @@ class TestStateValues:
         ):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, None)
+
+    def test_chain_memo_is_invisible(self):
+        env = renaming_chain(3)
+        filled, fresh = Closure(Var("x0"), env), Closure(Var("x0"), env)
+        env_lookups(ECommand(Var("y"), Binding("y", filled, None), EStuck(0)), 10)
+        assert filled._chain == (3, env.rest.rest.value) and fresh._chain is None
+        assert filled == fresh and hash(filled) == hash(fresh) == hash((Var("x0"), env))
+        assert repr(filled) == repr(fresh) == f"Closure(term=Var(name='x0'), env={env!r})"
+        assert Closure.__match_args__ == ("term", "env")
+        assert [f.name for f in dataclasses.fields(Closure) if f.compare] == ["term", "env"]
+        for name in ("term", "env", "_chain"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(filled, name, None)
 
 
 class TestAgainstSubstitutionTwins:
