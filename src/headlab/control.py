@@ -169,6 +169,8 @@ class CCommand:
     coterm: CCoTerm
     size: int = _cached()
     _fn: Optional[Names] = _cached()
+    # The growth guard caps a control machine by size only.
+    height: ClassVar[int] = 1
 
     def __init__(self, term: CTerm, coterm: CCoTerm) -> None:
         _ccommand_term(self, term)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Union
 from . import control, envmachine, headsimple, projection, weakhead
 from .fuel import FuelMeter, OutOfFuel
 from .pretty import print_state, print_term
-from .syntax import IllegalStateError, Term, alpha_eq, is_pure, split_stack, term_metrics
+from .syntax import IllegalStateError, Term, alpha_eq, is_pure, term_metrics
 
 __all__ = [
     "Normal",
@@ -59,27 +59,9 @@ DEFAULT_FUEL = 100000
 # ends the run past MAX_TOTAL_WORK.  Both turn runaway term growth and
 # quadratic lookup storms into FuelExhausted("work budget") instead of an
 # out-of-memory or a very long sit.  Desk-scale runs that reach a normal
-# form stay far below all three.
-#
-# Each engine measures its own state, so engines of one strategy can end
-# the same diverging run at different betas or for different reasons:
-# - wh-os and head-os measure the whole term;
-# - the substitution machines measure the term their state plugs back to
-#   (focus, stacked arguments and any binders passed), and their non-beta
-#   transitions add to work;
-# - head-os-derived and head-debruijn measure the body plus its binder
-#   prefix;
-# - the big-step engines charge only the node count of each contractum to
-#   their FuelMeter, with no size or depth cap;
-# - the environment machines report (1, 1), so only the work cap stops
-#   them, after up to 500k transitions of a diverging run (see _e_metrics);
-#   nearly all are lookups, which an untraced run jumps a chain at a time
-#   (Engine.chain) while still counting each one;
-# - the control machines measure command size, read off the size field
-#   every control node carries, and no depth.
-# On the corpus krivine ends 36 runs on the beta budget and 21 on work,
-# wh-bigstep 49 and 8; head-proj 36 and 23, head-bigstep 50 and 9.  One
-# measure shared by every engine is item 3 of ROADMAP.md.
+# form stay far below all three.  Every state carries its own `size` and
+# `height`, read by term_metrics in O(1): see the state classes and the
+# "Fuel and guards" section of README.md for what each engine measures.
 MAX_STATE_NODES = 60_000
 MAX_STATE_DEPTH = 1_200
 MAX_TOTAL_WORK = 500_000
@@ -226,49 +208,6 @@ def _beta_step(fn: Callable[[Term], Optional[Term]]) -> Callable[[Term], Optiona
     return step
 
 
-# --- state measures -------------------------------------------------------------
-
-
-def _plugged_metrics(term: Term, args: Iterable[Term], binders: int) -> tuple[int, int]:
-    size, depth = term_metrics(term)
-    for arg in args:
-        arg_size, arg_depth = term_metrics(arg)
-        size += 1 + arg_size
-        depth = max(depth, arg_depth) + 1
-    return size + binders, depth + binders
-
-
-def _p_metrics(c: weakhead.PCommand) -> tuple[int, int]:
-    args, stuck = split_stack(c.coterm, weakhead.PPush)
-    return _plugged_metrics(c.term, args, stuck.depth)
-
-
-def _top_metrics(t: projection.TopTerm) -> tuple[int, int]:
-    size, depth = term_metrics(t.body)
-    return size + t.binders, depth + t.binders
-
-
-def _h_metrics(c: weakhead.PCommand) -> tuple[int, int]:
-    args, stuck = split_stack(c.coterm, weakhead.PPush)
-    return _plugged_metrics(c.term, args, len(stuck.binders))
-
-
-def _e_metrics(c: envmachine.ECommand) -> tuple[int, int]:
-    # Every state counts as one node, so neither the size nor the depth cap
-    # can fire: a diverging run goes on through chains of variable lookups
-    # until the work cap stops it at MAX_TOTAL_WORK transitions (55 and 57
-    # corpus runs of env-krivine and env-head end so).  Work still counts one
-    # per lookup, but an untraced run takes each chain in one jump
-    # (envmachine.env_lookups), so those runs cost about their betas.
-    # Forcing has its own node budget at readback.  One measure shared with
-    # the other engines is item 3 of ROADMAP.md.
-    return 1, 1
-
-
-def _c_metrics(c: control.CCommand) -> tuple[int, int]:
-    return c.size, 1
-
-
 # --- environment and control engines ------------------------------------------
 
 
@@ -313,8 +252,10 @@ def _control_readback(step_fn) -> Readback:
 _coalesced = partial(print_state, coalesced=True)
 
 # Fields left out take the Engine defaults: identity load, a halt that
-# calls every state normal, the term readback and measure (term_metrics),
-# and print_state, which prints a bare term with print_term.
+# calls every state normal, the term readback, the measure every state
+# carries (term_metrics), and print_state, which prints a bare term with
+# print_term.  No row sets `metrics`; bench/layers.py swaps it for a timed
+# copy.
 ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
     Engine(
         name="wh-os",
@@ -330,7 +271,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=weakhead.krivine_step,
         halt=_halt_unless(weakhead.krivine_terminal),
         readback=_machine_readback(weakhead.krivine_readback_step, print_state),
-        metrics=_p_metrics,
     ),
     Engine(
         name="wh-bigstep",
@@ -346,7 +286,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=envmachine.env_krivine_step,
         halt=envmachine.env_krivine_halt,
         readback=_env_readback(coalesced=False),
-        metrics=_e_metrics,
         beta_rules=frozenset(("bind",)),
         chain=envmachine.env_lookups,
     ),
@@ -364,7 +303,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=headsimple.abs_machine_step,
         halt=_halt_unless(headsimple.abs_terminal),
         readback=_machine_readback(headsimple.abs_readback_step, print_state),
-        metrics=_h_metrics,
     ),
     Engine(
         name="head-proj",
@@ -374,7 +312,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=projection.proj_step,
         halt=_halt_unless(projection.proj_terminal),
         readback=_machine_readback(projection.proj_readback_step, print_state),
-        metrics=_p_metrics,
     ),
     Engine(
         name="head-os-derived",
@@ -383,7 +320,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=partial(projection.TopTerm, 0),
         step=projection.derived_step,
         readback=_machine_readback(projection.derived_readback_step, print_state),
-        metrics=_top_metrics,
     ),
     Engine(
         name="head-coalesced",
@@ -394,7 +330,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         halt=_halt_unless(projection.proj_terminal),
         readback=_machine_readback(projection.proj_readback_step, _coalesced),
         render=_coalesced,
-        metrics=_p_metrics,
     ),
     Engine(
         name="head-debruijn",
@@ -404,7 +339,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=projection.derived_step,
         readback=_machine_readback(projection.derived_readback_step, _coalesced),
         render=_coalesced,
-        metrics=_top_metrics,
     ),
     Engine(
         name="head-bigstep",
@@ -427,7 +361,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         halt=envmachine.env_head_halt,
         readback=_env_readback(coalesced=True),
         render=_coalesced,
-        metrics=_e_metrics,
         beta_rules=frozenset(("bind",)),
         chain=envmachine.env_lookups,
     ),
@@ -439,7 +372,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=control.control_step,
         halt=partial(control.control_halt, projective=False),
         readback=_control_readback(weakhead.krivine_readback_step),
-        metrics=_c_metrics,
     ),
     Engine(
         name="control-proj",
@@ -449,7 +381,6 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         step=control.control_proj_step,
         halt=partial(control.control_halt, projective=True),
         readback=_control_readback(projection.proj_readback_step),
-        metrics=_c_metrics,
     ),
 )}
 

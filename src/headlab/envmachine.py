@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .syntax import App, Lam, Proj, Term, Var, all_names, fresh, split_stack, subst
 from .weakhead import PCommand, PPush, PStuck, PCoTerm
@@ -113,6 +113,13 @@ class ECommand:
     term: Term
     env: Env
     coterm: ECoTerm
+    # Every state counts as one node, so only the growth guard's work cap
+    # stops a diverging run, at engines.MAX_TOTAL_WORK transitions (55 and
+    # 57 corpus runs of env-krivine and env-head end so); an untraced run
+    # takes each lookup chain in one jump (env_lookups), so those runs cost
+    # about their betas.  A shared measure is item 3 of ROADMAP.md.
+    size: ClassVar[int] = 1
+    height: ClassVar[int] = 1
 
     def __init__(self, term: Term, env: Env, coterm: ECoTerm) -> None:
         _ecommand_term(self, term)

@@ -75,9 +75,12 @@ def step_head_os(t: Term) -> Optional[Term]:
 
 @dataclass(frozen=True, slots=True)
 class HStuck:
-    """Binders the machine has descended under, most recent first."""
+    """Binders the machine has descended under, most recent first.  It
+    plugs back to that many lambdas, so each of its measures (see
+    `weakhead.PPush`) is their count."""
 
     binders: tuple[str, ...]
+    size = frames = height = property(lambda self: len(self.binders))
 
 
 def abs_load(t: Term) -> PCommand:

@@ -108,11 +108,14 @@ class TopTerm:
     """A body under `binders` anonymous top-level lambdas.
 
     The body may mention Index(i) for i < binders; Index(0) is the
-    outermost binder, absorbed first.
+    outermost binder, absorbed first.  Its size and height are those of
+    the term it stands for, the body under `binders` lambdas.
     """
 
     binders: int
     body: Term
+    size = property(lambda self: self.body.size + self.binders)
+    height = property(lambda self: self.body.height + self.binders)
 
 
 def derived_step(t: TopTerm) -> Optional[tuple[str, TopTerm]]:

@@ -314,16 +314,20 @@ def classify(t: Term) -> NormalFormClass:
 
 
 def is_pure(t: Term) -> bool:
-    """True when t uses only the Var/App/Lam constructors."""
-    match t:
-        case Var():
-            return True
-        case App(fun, arg):
-            return is_pure(fun) and is_pure(arg)
-        case Lam(_, body):
-            return is_pure(body)
-        case _:
-            return False
+    """True when t uses only the Var/App/Lam constructors.  A loop over an
+    explicit stack of arguments still to visit, so no depth overflows it."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        while not isinstance(t, Var):
+            if isinstance(t, App):
+                todo.append(t.arg)
+                t = t.fun
+            elif isinstance(t, Lam):
+                t = t.body
+            else:
+                return False
+    return True
 
 
 def replace_atom(t: Term, atom: Union[Proj, Index], x: str) -> Term:
@@ -353,6 +357,8 @@ def atoms(t: Term, kind: type) -> frozenset:
             return frozenset((t,)) if isinstance(t, kind) else frozenset()
 
 
-def term_metrics(t: Term) -> tuple[int, int]:
-    """(node count, tree height), read off the node."""
+def term_metrics(t) -> tuple[int, int]:
+    """(size, height) of a term or of any engine's state, read off its
+    fields: a state reports those of the term it plugs back to, except
+    envmachine.ECommand and control.CCommand, which say what they report."""
     return t.size, t.height

@@ -23,6 +23,7 @@ from .syntax import (
     NormalFormClass,
     Term,
     Var,
+    _cached,
     classify,
     subst,
     term_metrics,
@@ -87,16 +88,41 @@ def step_wh_os(t: Term) -> Optional[Term]:
 
 @dataclass(frozen=True, slots=True)
 class PStuck:
-    """A stuck co-term: the top level with `depth` frames dropped."""
+    """A stuck co-term: the top level with `depth` frames dropped.  It
+    plugs back to `depth` lambdas, so each of its measures is `depth`."""
 
     depth: int
+    size = frames = height = property(lambda self: self.depth)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PPush:
+    """An argument on the call stack.  A co-term measures the term it plugs
+    around an empty hole: its `size`, the `frames` (pushes and binders) on
+    the path to the hole, and its `height`.  A command adds its focus, so
+    the growth guard reads the measures of the term a state plugs back to
+    in O(1)."""
+
     arg: Term
     rest: "PCoTerm"
+    size: int = _cached()
+    frames: int = _cached()
+    height: int = _cached()
 
+    def __init__(self, arg: Term, rest: "PCoTerm") -> None:
+        _ppush_arg(self, arg)
+        _ppush_rest(self, rest)
+        _ppush_size(self, rest.size + arg.size + 1)
+        frames = rest.frames + 1
+        _ppush_frames(self, frames)
+        arg_height, rest_height = arg.height + frames, rest.height
+        _ppush_height(self, arg_height if arg_height > rest_height else rest_height)
+
+
+# The slot setters of PPush, as for syntax.App and syntax.Lam.
+_ppush_arg, _ppush_rest, _ppush_size, _ppush_frames, _ppush_height = (
+    getattr(PPush, name).__set__ for name in ("arg", "rest", "size", "frames", "height")
+)
 
 PCoTerm = Union[PStuck, PPush]
 TOP = PStuck(0)
@@ -106,6 +132,9 @@ TOP = PStuck(0)
 class PCommand:
     term: Term
     coterm: PCoTerm
+
+    size = property(lambda self: self.term.size + self.coterm.size)
+    height = property(lambda self: max(self.term.height + self.coterm.frames, self.coterm.height))
 
 
 def krivine_load(t: Term) -> PCommand:

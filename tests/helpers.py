@@ -15,9 +15,11 @@ import random
 
 from headlab.control import CApp, CarS, Case, CCommand, CoVar, CPush, CStuckCo, CVar, Mu
 from headlab.engines import _machine_readback
+from headlab.headsimple import HStuck
 from headlab.pretty import print_state, print_term
 from headlab.projection import TopTerm
 from headlab.syntax import App, Index, Lam, Proj, Term, Var
+from headlab.weakhead import PCommand, PPush
 
 # ---------------------------------------------------------------------------
 # Nameless-term oracle for alpha-equivalence and substitution.
@@ -91,6 +93,28 @@ def ref_measures(t: Term, out: list | None = None) -> tuple[int, int, frozenset[
     if out is not None:
         out.append((t, size, height, free))
     return size, height, free
+
+
+def plugged_measures(state) -> tuple[int, int]:
+    """(size, height) of the term a substitution-machine state (or a
+    TopTerm, or a term) plugs back to, by building that term and walking
+    it with ref_measures: the stacked arguments are folded back on and the
+    binders passed wrap the result.  The reference for the `size` and
+    `height` that states report without a walk."""
+    binders = 0
+    if isinstance(state, TopTerm):
+        t, binders = state.body, state.binders
+    elif isinstance(state, PCommand):
+        t, coterm = state.term, state.coterm
+        while isinstance(coterm, PPush):
+            t, coterm = App(t, coterm.arg), coterm.rest
+        binders = len(coterm.binders) if isinstance(coterm, HStuck) else coterm.depth
+    else:
+        t = state
+    for _ in range(binders):
+        t = Lam("_", t)
+    size, height, _ = ref_measures(t)
+    return size, height
 
 
 def ref_control_measures(node, memo: dict | None = None) -> tuple[int, frozenset[str], frozenset[str]]:

@@ -6,17 +6,19 @@ import dataclasses
 import importlib
 import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import headlab
-from headlab import envmachine, pretty, projection, syntax, weakhead
+from headlab import control, envmachine, pretty, projection, syntax, weakhead
 from headlab.cli import main
 from headlab.engines import (
     CONTROL_ENGINE_NAMES,
     ENGINES,
     HEAD_ENGINE_NAMES,
+    MAX_STATE_NODES,
     WH_ENGINE_NAMES,
     FuelExhausted,
     InvalidFuelError,
@@ -34,7 +36,7 @@ from headlab.gen import GenConfig, gen_term, gen_terms
 from headlab.parse import parse_term
 from headlab.pretty import print_state
 from headlab.syntax import App, IllegalStateError, Index, Lam, Proj, Var, alpha_eq, free_vars, fresh, term_metrics
-from helpers import golden_entry
+from helpers import golden_entry, plugged_measures
 
 
 def T(src):
@@ -188,6 +190,7 @@ class TestHeadMachineIsWeakHeadPlusOneRule:
         "weak_head, head, extra, states",
         [
             ("krivine", "head-proj", "project", True),
+            ("krivine", "head-abs", "descend", True),
             ("env-krivine", "env-head", "project", False),
             ("control-krivine", "control-proj", "split", True),
         ],
@@ -206,6 +209,65 @@ class TestHeadMachineIsWeakHeadPlusOneRule:
         for wh_trace, head_trace in zip(golden_traces[weak_head], golden_traces[head], strict=True):
             assert all(e.rule != extra for e in wh_trace.events)
             assert reduce_events(wh_trace) == reduce_events(head_trace)
+
+
+def reached_states(name, term, fuel):
+    """Every state an engine's step function reaches from `term`, until it
+    halts, takes `fuel` betas or its state passes MAX_STATE_NODES."""
+    engine = get_engine(name)
+    state = engine.load(term)
+    betas = 0
+    yield state
+    while term_metrics(state)[0] <= MAX_STATE_NODES and (nxt := engine.step(state)) is not None:
+        rule, state = nxt
+        yield state
+        betas += rule in engine.beta_rules
+        if betas >= fuel:
+            return
+
+
+class TestStateMeasures:
+    """Every state reports the size and height of the term it plugs back
+    to without a walk; plugged_measures builds that term and walks it.
+    The environment and control machines' states are checked through the
+    substitution-machine states their readback builds from them."""
+
+    @pytest.mark.parametrize(
+        "name, view",
+        [(name, None) for name in ("krivine", "head-abs", "head-proj", "head-os-derived")]
+        + [(name, envmachine.as_forced_command) for name in ("env-krivine", "env-head")]
+        + [(name, control.as_projection_command) for name in CONTROL_ENGINE_NAMES],
+    )
+    def test_every_reached_state(self, corpus120, name, view):
+        states = 0
+        for term in corpus120 + [App(App(term, Var("y")), Var("x")) for term in corpus120]:
+            for state in reached_states(name, term, 100):
+                if view is not None:
+                    state = view(state)
+                assert term_metrics(state) == plugged_measures(state), (name, term)
+                states += 1
+        assert states > 2_000
+
+
+class TestDeepTerms:
+    """The machines that walk no term recursively reach a normal form on
+    terms deeper than the recursion limit."""
+
+    DEPTH = 1_100
+
+    @pytest.mark.parametrize("name", ["wh-os", "krivine", "head-os", "head-abs"])
+    def test_deep_nest_and_spine_normalize(self, name):
+        nest, spine = Var("x"), Var("y")
+        for _ in range(self.DEPTH):
+            nest, spine = Lam("x", nest), App(spine, Var("y"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            outcomes = [evaluate(term, name, 100)[0] for term in (nest, spine)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [type(o) for o in outcomes] == [Normal, Normal]
+        assert [o.result for o in outcomes] == [nest, spine]
 
 
 class TestReadbackDriver:

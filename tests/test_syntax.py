@@ -175,6 +175,25 @@ class TestCachedMeasures:
         assert term != App(Var("x"), Lam("z", App(Proj(0), Index(1))))
 
 
+class TestIsPure:
+    """is_pure walks an explicit stack, so no depth overflows it."""
+
+    DEPTH = 40_000
+    WRAP = {
+        "nest": lambda t: Lam("x", t),
+        "spine": lambda t: App(t, Var("y")),
+        "argument chain": lambda t: App(Var("y"), t),
+    }
+
+    @pytest.mark.parametrize("shape", WRAP)
+    @pytest.mark.parametrize("bottom, pure", [(Var("x"), True), (Proj(0), False), (Index(0), False)])
+    def test_deep_terms(self, shape, bottom, pure):
+        t = bottom
+        for _ in range(self.DEPTH):
+            t = self.WRAP[shape](t)
+        assert syntax.is_pure(t) is pure
+
+
 class TestAlphaEq:
     def test_bound_rename(self):
         assert alpha_eq(T(r"\x.x"), T(r"\y.y"))

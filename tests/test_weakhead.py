@@ -1,6 +1,7 @@
 """Weak-head artifacts: small-step, Krivine machine, big-step, and the
 equivalences between them."""
 
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from headlab.weakhead import (
     TOP,
     PCommand,
     PPush,
+    PStuck,
     bigstep_wh,
     decompose_wh,
     krivine_load,
@@ -185,6 +187,38 @@ def run_smallstep(term, max_betas):
         betas += 1
         if betas > max_betas:
             return None, betas
+
+
+class TestStateValues:
+    """The measures a call stack caches take no part in its value."""
+
+    def test_repr_eq_hash_and_match_args(self):
+        stack = PPush(Var("y"), PPush(T(r"\w.w"), TOP))
+        # The same stack reached by two pushes of the machine.
+        _, pushed = krivine_step(PCommand(T("x y"), PPush(T(r"\w.w"), PStuck(0))))
+        state = PCommand(Var("x"), stack)
+        assert pushed == state and hash(pushed) == hash(state)
+        assert pushed.coterm is not stack and pushed.coterm.rest is not stack.rest
+        assert repr(stack) == (
+            "PPush(arg=Var(name='y'), rest=PPush(arg=Lam(binder='w', body=Var(name='w')), "
+            "rest=PStuck(depth=0)))"
+        )
+        assert repr(state) == f"PCommand(term=Var(name='x'), coterm={stack!r})"
+        assert (PPush.__match_args__, PCommand.__match_args__) == (("arg", "rest"), ("term", "coterm"))
+        assert [f.name for f in dataclasses.fields(PPush) if f.compare] == ["arg", "rest"]
+        assert hash(stack) == hash((Var("y"), stack.rest))
+        assert hash(state) == hash((Var("x"), stack))
+        assert state != PCommand(Var("x"), PPush(Var("y"), TOP))
+
+    def test_frozen(self):
+        state = PCommand(Var("x"), PPush(Var("y"), TOP))
+        for node, name in (
+            (state, "term"), (state, "coterm"),
+            (state.coterm, "arg"), (state.coterm, "rest"), (state.coterm, "size"),
+            (state.coterm, "frames"), (state.coterm, "height"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
 
 
 class TestBigStep:
