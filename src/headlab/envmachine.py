@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Union
 
 from .syntax import App, Lam, Proj, Term, Var, all_names, fresh, split_stack, subst
-from .weakhead import PCommand, PPush, PStuck, PCoTerm
+from .weakhead import TOP, PCommand, PPush, PStuck, PCoTerm
 
 __all__ = [
     "Closure",
@@ -37,7 +37,6 @@ __all__ = [
     "env_lookup",
     "env_lookups",
     "EPush",
-    "EStuck",
     "ECoTerm",
     "ECommand",
     "ForceBudgetExceeded",
@@ -100,12 +99,7 @@ class EPush:
         _epush_rest(self, rest)
 
 
-@dataclass(frozen=True, slots=True)
-class EStuck:
-    depth: int
-
-
-ECoTerm = Union[EPush, EStuck]
+ECoTerm = Union[EPush, PStuck]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -193,7 +187,7 @@ class ForceBudgetExceeded(Exception):
 
 
 def env_krivine_load(t: Term) -> ECommand:
-    return ECommand(t, None, EStuck(0))
+    return ECommand(t, None, TOP)
 
 
 def env_krivine_step(c: ECommand) -> Optional[tuple[str, ECommand]]:
@@ -218,7 +212,7 @@ def env_krivine_halt(c: ECommand) -> tuple[str, str]:
     with no binding means the program was open, which no rule covers but
     forcing can still read back."""
     match c.term:
-        case Lam() if isinstance(c.coterm, EStuck):
+        case Lam() if isinstance(c.coterm, PStuck):
             return "normal", ""
         case Var(name):
             return "open", f"unbound variable {name!r}"
@@ -231,12 +225,12 @@ def env_head_step(c: ECommand) -> Optional[tuple[str, ECommand]]:
     if step is not None:
         return step
     match c:
-        case ECommand(Lam(binder, body), env, EStuck(n)):
+        case ECommand(Lam(binder, body), env, PStuck(n)):
             # The projection pairs up with the current environment
             # exactly as the rule is written, although nothing in a
             # projection ever needs looking up.
             bound = Binding(binder, Closure(Proj(n), env), env)
-            return "project", ECommand(body, bound, EStuck(n + 1))
+            return "project", ECommand(body, bound, PStuck(n + 1))
         case _:
             return None
 
@@ -298,7 +292,7 @@ def as_forced_command(c: ECommand, max_nodes: Optional[int] = None) -> PCommand:
     """Force the focus and every stacked closure, yielding a state of the
     substitution-based head machine for readback and comparison."""
     args, stuck = split_stack(c.coterm, EPush)
-    forced: PCoTerm = PStuck(stuck.depth)
+    forced: PCoTerm = stuck
     for arg in reversed(args):
         forced = PPush(force(arg, max_nodes), forced)
     return PCommand(force(Closure(c.term, c.env), max_nodes), forced)

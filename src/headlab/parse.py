@@ -6,11 +6,14 @@ application by juxtaposition associating left, parentheses, abstraction
 bodies extending as far right as possible, and `--` line comments.
 Projection keywords (tp, car, cdr, pick, drop) are rejected as
 identifiers; those tokens belong to printed machine states only.
+Parsing is one loop over an explicit stack, so any nesting depth parses.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .syntax import App, Lam, RESERVED_NAMES, Term, Var
 
@@ -30,129 +33,78 @@ class ParseError(Exception):
         self.span = span
 
 
-_IDENT_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
+# Blanks and comments, then one token; `end` matches only once the input is
+# used up, and `bad` takes any character no token starts with.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|--[^\n]*)*"
+    r"(?:(?P<lam>[\\λ])|(?P<punct>[.()])|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "lam" | "dot" | "lparen" | "rparen" | "ident" | "eof"
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if ch == "\\" or ch == "λ":
-            tokens.append(_Token("lam", ch, SourceSpan(start, i + 1)))
-            i += 1
-        elif ch == ".":
-            tokens.append(_Token("dot", ch, SourceSpan(start, i + 1)))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, SourceSpan(start, i + 1)))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, SourceSpan(start, i + 1)))
-            i += 1
-        elif ch in _IDENT_START:
-            i += 1
-            while i < n and src[i] in _IDENT_CONT:
-                i += 1
-            tokens.append(_Token("ident", src[start:i], SourceSpan(start, i)))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(start, start + 1))
-    tokens.append(_Token("eof", "", SourceSpan(n, n)))
+def _tokenize(src: str) -> list[tuple[str, str, SourceSpan]]:
+    tokens = []
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        span = SourceSpan(m.start(kind), m.end(kind))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", span)
+        tokens.append((kind, m[kind], span))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.span)
-        return self.next()
-
-    def ident(self) -> str:
-        tok = self.expect("ident", "an identifier")
-        if tok.text in RESERVED_NAMES:
-            raise ParseError(f"{tok.text!r} is a reserved machine token", tok.span)
-        return tok.text
-
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "lam":
-            return self.abstraction()
-        return self.application()
-
-    def abstraction(self) -> Term:
-        self.expect("lam", "a lambda")
-        binders = [self.ident()]
-        while self.peek().kind == "ident":
-            binders.append(self.ident())
-        self.expect("dot", "'.' after binders")
-        body = self.term()
-        for binder in reversed(binders):
-            body = Lam(binder, body)
-        return body
-
-    def application(self) -> Term:
-        parts: list[Term] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "ident":
-                parts.append(Var(self.ident()))
-            elif tok.kind == "lparen":
-                self.next()
-                parts.append(self.term())
-                self.expect("rparen", "')'")
-            elif tok.kind == "lam" and parts:
-                # A trailing abstraction grabs the rest of the input, so it
-                # can only stand as the final argument.
-                parts.append(self.abstraction())
-                break
-            else:
-                break
-        if not parts:
-            raise ParseError("expected a term", self.peek().span)
-        term = parts[0]
-        for arg in parts[1:]:
-            term = App(term, arg)
-        return term
+def _name(text: str, span: SourceSpan) -> str:
+    if text in RESERVED_NAMES:
+        raise ParseError(f"{text!r} is a reserved machine token", span)
+    return text
 
 
 def parse_term(src: str) -> Term:
     """Parse source text into a term, raising ParseError on any bad input."""
-    try:
-        parser = _Parser(_tokenize(src))
-        term = parser.term()
-        tok = parser.peek()
-        if tok.kind != "eof":
-            raise ParseError("unexpected trailing input", tok.span)
-        return term
-    except RecursionError:
-        raise ParseError("nesting too deep", SourceSpan(0, len(src))) from None
+    tokens = _tokenize(src)
+    # A group is the application spine being read and what opened it: None
+    # for the whole input, "(" for a parenthesis, or a lambda's binders.  A
+    # lambda's body runs to whatever closes its enclosing group.
+    stack: list[tuple[object, list[Term]]] = []
+    opener: object = None
+    spine: list[Term] = []
+    i = 0
+    while True:
+        kind, text, span = tokens[i]
+        i += 1
+        if kind == "ident":
+            spine.append(Var(_name(text, span)))
+        elif text == "(":
+            stack.append((opener, spine))
+            opener, spine = "(", []
+        elif kind == "lam":
+            binders = []
+            while tokens[i][0] == "ident":
+                binders.append(_name(tokens[i][1], tokens[i][2]))
+                i += 1
+            if not binders:
+                raise ParseError("expected an identifier", tokens[i][2])
+            if tokens[i][1] != ".":
+                raise ParseError("expected '.' after binders", tokens[i][2])
+            i += 1
+            stack.append((opener, spine))
+            opener, spine = binders, []
+        else:  # ")", "." or the end close the lambdas they end, then their own group
+            if not spine:
+                raise ParseError("expected a term", span)
+            while True:
+                term = reduce(App, spine)
+                if not isinstance(opener, list):
+                    break
+                for binder in reversed(opener):
+                    term = Lam(binder, term)
+                opener, spine = stack.pop()
+                spine.append(term)
+            if opener is None:
+                if kind != "end":
+                    raise ParseError("unexpected trailing input", span)
+                return term
+            if text != ")":
+                raise ParseError("expected ')'", span)
+            opener, spine = stack.pop()
+            spine.append(term)

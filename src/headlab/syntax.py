@@ -255,7 +255,6 @@ def alpha_eq(a: Term, b: Term) -> bool:
 class NormalFormClass(Enum):
     NEUTRAL = "Neutral"
     WHNF = "Whnf"
-    HNF = "Hnf"
     WHNF_AND_HNF = "WhnfAndHnf"
     REDUCIBLE = "Reducible"
 

@@ -179,7 +179,7 @@ def test_criterion_8_coalesced_lockstep(head_outcomes, golden_traces):
 
 
 def test_criterion_9_normal_form_soundness(corpus1000, wh_outcomes, head_outcomes):
-    head_ok = {NormalFormClass.NEUTRAL, NormalFormClass.HNF, NormalFormClass.WHNF_AND_HNF}
+    head_ok = {NormalFormClass.NEUTRAL, NormalFormClass.WHNF_AND_HNF}
     wh_ok = head_ok | {NormalFormClass.WHNF}
     violations = 0
     for name in HEAD_ENGINE_NAMES:

@@ -11,7 +11,6 @@ from headlab.envmachine import (
     Closure,
     ECommand,
     EPush,
-    EStuck,
     ForceBudgetExceeded,
     env_head_halt,
     env_head_step,
@@ -24,6 +23,7 @@ from headlab.envmachine import (
 from headlab.engines import FuelExhausted, evaluate, Normal
 from headlab.parse import parse_term
 from headlab.syntax import App, Lam, Proj, Var, alpha_eq
+from headlab.weakhead import PStuck
 from conftest import CORPUS_FUEL
 from helpers import TRACE_FUEL
 
@@ -48,27 +48,27 @@ class TestKrivineRules:
         state = env_krivine_load(T(r"(\x.x) y"))
         rule, nxt = env_krivine_step(state)
         assert rule == "push"
-        assert nxt == ECommand(T(r"\x.x"), None, EPush(Closure(Var("y"), None), EStuck(0)))
+        assert nxt == ECommand(T(r"\x.x"), None, EPush(Closure(Var("y"), None), PStuck(0)))
 
     def test_bind_extends_environment(self):
-        state = ECommand(T(r"\x.x"), None, EPush(Closure(Var("y"), None), EStuck(0)))
+        state = ECommand(T(r"\x.x"), None, EPush(Closure(Var("y"), None), PStuck(0)))
         rule, nxt = env_krivine_step(state)
         assert rule == "bind"
-        assert nxt == ECommand(Var("x"), Binding("x", Closure(Var("y"), None), None), EStuck(0))
+        assert nxt == ECommand(Var("x"), Binding("x", Closure(Var("y"), None), None), PStuck(0))
 
     def test_lookup_jumps_to_closure(self):
         bound = Binding("x", Closure(T(r"\z.z"), None), None)
-        state = ECommand(Var("x"), bound, EStuck(0))
+        state = ECommand(Var("x"), bound, PStuck(0))
         rule, nxt = env_krivine_step(state)
         assert rule == "lookup"
-        assert nxt == ECommand(T(r"\z.z"), None, EStuck(0))
+        assert nxt == ECommand(T(r"\z.z"), None, PStuck(0))
         # Terminal lambda on the empty stack; forcing recovers the term the
         # substitution machine would have produced for (\x.x)(\z.z).
         assert env_krivine_halt(nxt) == ("normal", "")
         assert force(Closure(nxt.term, nxt.env)) == T(r"\z.z")
 
     def test_unbound_variable_signals_open_program(self):
-        state = ECommand(Var("q"), None, EStuck(0))
+        state = ECommand(Var("q"), None, PStuck(0))
         assert env_krivine_step(state) is None
         kind, reason = env_krivine_halt(state)
         assert kind == "open" and "q" in reason
@@ -87,7 +87,7 @@ class TestHeadRules:
         assert nxt == ECommand(
             T(r"(\y.y) x"),
             Binding("x", Closure(Proj(0), None), None),
-            EStuck(1),
+            PStuck(1),
         )
 
     def test_full_run_forces_to_identity(self):
@@ -97,7 +97,7 @@ class TestHeadRules:
 
     def test_projection_head_is_terminal(self):
         sigma = Binding("x", Closure(Var("y"), None), None)
-        state = ECommand(Proj(0), sigma, EStuck(1))
+        state = ECommand(Proj(0), sigma, PStuck(1))
         assert env_head_step(state) is None
         assert env_head_halt(state) == ("normal", "")
 
@@ -244,10 +244,10 @@ class TestChainJump:
 
     def test_chain_ending_on_an_unbound_variable(self):
         env = Binding("x", Closure(Var("y"), Binding("y", Closure(Var("z"), None), None)), None)
-        state = ECommand(Var("x"), env, EStuck(0))
-        end = ECommand(Var("z"), None, EStuck(0))
+        state = ECommand(Var("x"), env, PStuck(0))
+        end = ECommand(Var("z"), None, PStuck(0))
         assert env_lookups(state, 10) == (2, end)
-        assert env_lookups(state, 1) == (1, ECommand(Var("y"), env.value.env, EStuck(0)))
+        assert env_lookups(state, 1) == (1, ECommand(Var("y"), env.value.env, PStuck(0)))
         assert env_krivine_step(end) is None and env_lookups(end, 10) == (0, end)
 
 
@@ -269,7 +269,7 @@ class TestStateValues:
     @staticmethod
     def _build():
         env = Binding("x", Closure(Var("y"), None), None)
-        return ECommand(App(Var("x"), Var("z")), env, EPush(Closure(Proj(0), env), EStuck(1)))
+        return ECommand(App(Var("x"), Var("z")), env, EPush(Closure(Proj(0), env), PStuck(1)))
 
     def test_repr_eq_hash_and_match_args(self):
         state = self._build()
@@ -277,7 +277,7 @@ class TestStateValues:
             "ECommand(term=App(fun=Var(name='x'), arg=Var(name='z')), "
             "env=Binding(name='x', value=Closure(term=Var(name='y'), env=None), rest=None), "
             "coterm=EPush(arg=Closure(term=Proj(depth=0), env=Binding(name='x', "
-            "value=Closure(term=Var(name='y'), env=None), rest=None)), rest=EStuck(depth=1)))"
+            "value=Closure(term=Var(name='y'), env=None), rest=None)), rest=PStuck(depth=1)))"
         )
         assert [cls.__match_args__ for cls in (Closure, Binding, EPush, ECommand)] == [
             ("term", "env"), ("name", "value", "rest"), ("arg", "rest"), ("term", "env", "coterm"),
@@ -286,7 +286,7 @@ class TestStateValues:
         assert state == other and hash(state) == hash(other)
         assert hash(state) == hash((state.term, state.env, state.coterm))
         assert hash(state.env) == hash(("x", state.env.value, None))
-        assert hash(state.coterm) == hash((state.coterm.arg, EStuck(1)))
+        assert hash(state.coterm) == hash((state.coterm.arg, PStuck(1)))
         assert hash(state.coterm.arg) == hash((Proj(0), state.env))
         assert state != ECommand(state.term, None, state.coterm)
 
@@ -302,7 +302,7 @@ class TestStateValues:
     def test_chain_memo_is_invisible(self):
         env = renaming_chain(3)
         filled, fresh = Closure(Var("x0"), env), Closure(Var("x0"), env)
-        env_lookups(ECommand(Var("y"), Binding("y", filled, None), EStuck(0)), 10)
+        env_lookups(ECommand(Var("y"), Binding("y", filled, None), PStuck(0)), 10)
         assert filled._chain == (3, env.rest.rest.value) and fresh._chain is None
         assert filled == fresh and hash(filled) == hash(fresh) == hash((Var("x0"), env))
         assert repr(filled) == repr(fresh) == f"Closure(term=Var(name='x0'), env={env!r})"

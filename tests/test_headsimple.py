@@ -92,11 +92,7 @@ class TestSmallStep:
             assert decompose_head(term).rebuild() == term
 
     def test_step_exists_iff_not_hnf(self, corpus300):
-        hnf_classes = {
-            NormalFormClass.NEUTRAL,
-            NormalFormClass.HNF,
-            NormalFormClass.WHNF_AND_HNF,
-        }
+        hnf_classes = {NormalFormClass.NEUTRAL, NormalFormClass.WHNF_AND_HNF}
         for term in corpus300:
             has_step = step_head_os(term) is not None
             assert has_step == (classify(term) not in hnf_classes)

@@ -1,12 +1,13 @@
 """Concrete syntax: parsing, printing, and state rendering."""
 
 import random
+import sys
 
 import pytest
 
-from headlab.parse import ParseError, parse_term
+from headlab.parse import ParseError, SourceSpan, parse_term
 from headlab.pretty import print_state, print_term
-from headlab.envmachine import Binding, Closure, ECommand, EPush, EStuck
+from headlab.envmachine import Binding, Closure, ECommand, EPush
 from headlab.projection import TopTerm
 from headlab.syntax import App, Index, Lam, Proj, Var
 from headlab.weakhead import TOP, PCommand, PPush, PStuck
@@ -43,17 +44,34 @@ class TestParse:
     def test_primed_identifiers(self):
         assert parse_term("x' y'") == App(Var("x'"), Var("y'"))
 
-    @pytest.mark.parametrize("bad", ["", "(", ")", r"\.x", r"\x", "x)", "(x", "x . y", "?"])
+    # Each malformed input with its error message and span.
+    MALFORMED = {
+        "": ("expected a term", (0, 0)),
+        "(": ("expected a term", (1, 1)),
+        ")": ("expected a term", (0, 1)),
+        r"\.x": ("expected an identifier", (1, 2)),
+        r"\x": ("expected '.' after binders", (2, 2)),
+        "x)": ("unexpected trailing input", (1, 2)),
+        "(x": ("expected ')'", (2, 2)),
+        "x . y": ("unexpected trailing input", (2, 3)),
+        "?": ("unexpected character '?'", (0, 1)),
+    }
+
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed_input_raises(self, bad):
-        with pytest.raises(ParseError):
+        message, (start, end) = self.MALFORMED[bad]
+        with pytest.raises(ParseError) as err:
             parse_term(bad)
+        assert (err.value.message, err.value.span) == (message, SourceSpan(start, end))
+        assert str(err.value) == f"{message} (at {start}..{end})"
 
     @pytest.mark.parametrize("word", ["tp", "car", "cdr", "pick", "drop"])
     def test_reserved_machine_tokens_rejected(self, word):
-        with pytest.raises(ParseError):
-            parse_term(word)
-        with pytest.raises(ParseError):
-            parse_term(f"\\{word}.{word}")
+        message = f"{word!r} is a reserved machine token"
+        for src, start in ((word, 0), (f"\\{word}.{word}", 1)):
+            with pytest.raises(ParseError) as err:
+                parse_term(src)
+            assert (err.value.message, err.value.span) == (message, SourceSpan(start, start + len(word)))
 
     def test_error_spans_point_into_input(self):
         with pytest.raises(ParseError) as err:
@@ -62,13 +80,61 @@ class TestParse:
 
     def test_never_crashes_on_junk(self):
         rng = random.Random(3)
-        alphabet = "\\xy().- \n'"
+        alphabet = "\\xy().- \n'λ_0?\t\x0b"
         for _ in range(500):
             src = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
             try:
-                parse_term(src)
+                term = parse_term(src)
             except ParseError:
-                pass
+                continue
+            assert parse_term(print_term(term)) == term
+
+
+class TestDeepInput:
+    """Any nesting depth parses: the parser keeps its open groups in a list,
+    not on the call stack.  The shapes are checked with loops, because
+    dataclass `==` recurses."""
+
+    DEPTH = 100_000
+
+    @pytest.fixture(autouse=True)
+    def low_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        yield
+        sys.setrecursionlimit(limit)
+
+    def test_lambda_nest(self):
+        nest = parse_term("\\x." * self.DEPTH + "x")
+        term = nest
+        for _ in range(self.DEPTH):
+            assert type(term) is Lam and term.binder == "x"
+            term = term.body
+        assert term == Var("x")
+        printed = print_term(nest)
+        assert print_term(parse_term(printed)) == printed
+
+    def test_spine(self):
+        term = parse_term(" ".join(["x"] * self.DEPTH))
+        for _ in range(self.DEPTH - 1):
+            assert type(term) is App and term.arg == Var("x")
+            term = term.fun
+        assert term == Var("x")
+
+    def test_paren_nest(self):
+        assert parse_term("(" * self.DEPTH + "x" + ")" * self.DEPTH) == Var("x")
+
+    def test_argument_nest(self):
+        term = parse_term("f (" * self.DEPTH + "x" + ")" * self.DEPTH)
+        for _ in range(self.DEPTH):
+            assert type(term) is App and term.fun == Var("f")
+            term = term.arg
+        assert term == Var("x")
+
+    def test_unclosed_paren_nest(self):
+        with pytest.raises(ParseError) as err:
+            parse_term("(" * self.DEPTH + "x")
+        assert (err.value.message, err.value.span) == ("expected ')'", SourceSpan(self.DEPTH + 1, self.DEPTH + 1))
 
 
 class TestPrint:
@@ -119,7 +185,7 @@ class TestPrintState:
         state = ECommand(
             App(Proj(0), Var("x")),
             Binding("x", Closure(Proj(1), None), None),
-            EPush(Closure(Proj(0), None), EStuck(2)),
+            EPush(Closure(Proj(0), None), PStuck(2)),
         )
         assert print_state(state, coalesced=True) == (
             "<(pick 0 tp) x || [x -> (pick 1 tp, [])] || (pick 0 tp, []) . drop 2 tp>"
