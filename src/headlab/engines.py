@@ -172,7 +172,8 @@ class Engine:
     beta_rules: frozenset[str] = frozenset(("beta",))
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
     # chain(state, limit) -> (n, state'): n <= limit non-beta transitions in
-    # one jump (envmachine.env_lookups); untraced runs only.
+    # one jump (envmachine.env_lookups); untraced runs only.  A stepping row
+    # without `chain` gets the cycle jump of `evaluate` instead.
     chain: Optional[Callable[[object, int], tuple[int, object]]] = None
 
 
@@ -422,6 +423,29 @@ def _render_capped(engine: Engine, state: object) -> str:
     return f"<state with ~{size} nodes>"
 
 
+def _same_state(a: object, b: object) -> bool:
+    """Structural equality of two machine states, as a loop over an explicit
+    stack of pairs: a dataclass node compares the fields its pattern
+    matches (`__match_args__`), any other value compares with ==, and a
+    shared subtree is equal by `is`.  It never recurses, so it compares
+    states of any depth, which == does not."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        fields = getattr(cls, "__match_args__", None)
+        if fields is None:
+            if a != b:
+                return False
+        else:
+            todo.extend([(getattr(a, f), getattr(b, f)) for f in fields])
+    return True
+
+
 def evaluate(
     term: Term,
     engine: str = "krivine",
@@ -434,6 +458,13 @@ def evaluate(
     load, reduce, and readback events.  Untraced, only the capped
     `last_state` of a stopped run is rendered.  The guards are read from
     MAX_STATE_NODES, MAX_STATE_DEPTH and MAX_TOTAL_WORK at each call.
+
+    An untraced run of a stepping row without `chain` watches for a state
+    that repeats after a beta (Brent's cycle detection, with one marked
+    state).  On a repeat the run is periodic, and it jumps as many whole
+    periods as fit before the beta budget or the work cap, then steps on
+    to the end.  The state after the jump equals the state before it, so
+    the outcome is the one stepping gives.
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
@@ -460,6 +491,13 @@ def evaluate(
         beta_rules = eng.beta_rules
         # A traced run steps every transition, since each is an event.
         chain = eng.chain if tr is None else None
+        # The cycle jump's mark is taken at the first beta and moves to the
+        # current state when the betas since it reach `power`, which then
+        # doubles; the mark keeps the counters it was taken at.
+        detect = tr is None and eng.chain is None
+        mark = mark_size = mark_height = None
+        mark_betas = mark_steps = mark_left = 0
+        power = 1
         while True:
             if chain is not None:
                 # The limit is the transition that would pass the work cap.
@@ -482,6 +520,23 @@ def evaluate(
                 steps_left -= size
                 if size > MAX_STATE_NODES or depth > MAX_STATE_DEPTH:
                     return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
+                # A repeat counts only where the work check below passes.
+                if detect and steps <= steps_left:
+                    if size == mark_size and depth == mark_height and _same_state(state, mark):
+                        # Each period adds the same betas, steps and work.
+                        # Steps minus steps_left never falls, so a jump
+                        # whose last state is under both caps skips no
+                        # transition that passes one.
+                        period, d_steps, d_work = betas - mark_betas, steps - mark_steps, mark_left - steps_left
+                        k = min((budget - betas) // period, (steps_left - steps) // (d_steps + d_work))
+                        betas += k * period
+                        steps += k * d_steps
+                        steps_left -= k * d_work
+                        # Less than a period is left, so the run ends soon.
+                        detect = False
+                    elif betas - mark_betas == power:
+                        mark, mark_size, mark_height, power = state, size, depth, 2 * power
+                        mark_betas, mark_steps, mark_left = betas, steps, steps_left
             if steps > steps_left:
                 return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
 

@@ -111,7 +111,7 @@ class ECommand:
     # stops a diverging run, at engines.MAX_TOTAL_WORK transitions (55 and
     # 57 corpus runs of env-krivine and env-head end so); an untraced run
     # takes each lookup chain in one jump (env_lookups), so those runs cost
-    # about their betas.  A shared measure is item 3 of ROADMAP.md.
+    # about their betas.  A shared measure is item 7 of ROADMAP.md.
     size: ClassVar[int] = 1
     height: ClassVar[int] = 1
 

@@ -192,6 +192,15 @@ def gen_top_term(rng: random.Random, binders: int, size: int) -> TopTerm:
 
 
 # ---------------------------------------------------------------------------
+# The corpus terms (of the first 100) that every stepping engine runs to a
+# guard, env-krivine and env-head through lookup chains, and the smallest
+# term that does so.
+
+GUARD_INDICES = (1, 6, 22, 76, 81)
+GUARD_TERM = r"(\x.x x) (\x.x x) (\x y.x)"
+
+
+# ---------------------------------------------------------------------------
 # Readback of a single machine state, through the driver every engine uses.
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import headlab
-from headlab import control, envmachine, pretty, projection, syntax, weakhead
+from headlab import control, engines, envmachine, headsimple, pretty, projection, syntax, weakhead
 from headlab.cli import main
 from headlab.engines import (
     CONTROL_ENGINE_NAMES,
@@ -36,7 +36,8 @@ from headlab.gen import GenConfig, gen_term, gen_terms
 from headlab.parse import parse_term
 from headlab.pretty import print_state
 from headlab.syntax import App, IllegalStateError, Index, Lam, Proj, Var, alpha_eq, free_vars, fresh, term_metrics
-from helpers import golden_entry, plugged_measures
+from conftest import CORPUS_FUEL
+from helpers import GUARD_INDICES, GUARD_TERM, golden_entry, plugged_measures
 
 
 def T(src):
@@ -268,6 +269,122 @@ class TestDeepTerms:
             sys.setrecursionlimit(limit)
         assert [type(o) for o in outcomes] == [Normal, Normal]
         assert [o.result for o in outcomes] == [nest, spine]
+
+    # The control rows are left out: embed_term recurses on the binder nest.
+    @pytest.mark.parametrize("name", [n for n in engine_names() if n not in CONTROL_ENGINE_NAMES])
+    def test_omega_under_600_binders_returns_an_outcome(self, name):
+        term = T(OMEGA)
+        for i in reversed(range(600)):
+            term = Lam(f"v{i}", term)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            outcome = evaluate(term, name, CORPUS_FUEL)[0]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(outcome, (Normal, FuelExhausted, Stuck))
+
+
+# The rows the cycle jump covers: every stepping row without `chain`.
+CYCLE_ROWS = tuple(n for n, e in ENGINES.items() if e.step is not None and e.chain is None)
+# Its states repeat every 3 betas, after one to three betas that do not.
+PERIOD_3_TERM = r"(\x.x x) (\x.x) (\x.x x) ((\x.x) ((\x.x) (\x.x x)))"
+
+
+class TestCycleJump:
+    """An untraced run of a row in CYCLE_ROWS jumps whole periods once a
+    state repeats after a beta; a run that steps every transition is the
+    reference."""
+
+    @pytest.fixture
+    def repeats(self, monkeypatch):
+        """The states `engines._same_state` finds repeated, in call order."""
+        found = []
+        same_state = engines._same_state
+
+        def spy(a, b):
+            same = same_state(a, b)
+            if same:
+                found.append(a)
+            return same
+
+        monkeypatch.setattr(engines, "_same_state", spy)
+        return found
+
+    def test_covered_rows(self):
+        assert CYCLE_ROWS == (
+            "wh-os", "krivine", "head-os", "head-abs", "head-proj", "head-os-derived",
+            "head-coalesced", "head-debruijn", "control-krivine", "control-proj",
+        )
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            obj
+            for module in (syntax, weakhead, headsimple, projection, control)
+            for obj in vars(module).values()
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+        ],
+    )
+    def test_match_args_are_the_compared_fields(self, cls):
+        # _same_state compares a node's __match_args__ and nothing else.
+        assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+
+    def test_same_state_compares_deeper_than_the_recursion_limit(self):
+        a, b, c = Var("x"), Var("x"), Var("y")
+        for _ in range(5_000):
+            a, b, c = Lam("x", a), Lam("x", b), Lam("x", c)
+        pair = weakhead.PCommand(a, weakhead.TOP)
+        assert engines._same_state(pair, weakhead.PCommand(b, weakhead.TOP))
+        assert not engines._same_state(pair, weakhead.PCommand(c, weakhead.TOP))
+        assert not engines._same_state(pair, weakhead.PCommand(a, weakhead.PStuck(1)))
+
+    @pytest.mark.parametrize("name", CYCLE_ROWS)
+    def test_untraced_matches_traced_on_guard_terms(self, corpus120, repeats, monkeypatch, name):
+        guards = [corpus120[i] for i in GUARD_INDICES]
+        applied = [form for t in guards for form in (t, App(t, Var("y")), App(t, Var("x")))]
+        # Small budgets end before the first repeat or a few periods after it.
+        for term in applied:
+            for fuel in range(1, 13):
+                assert evaluate(term, name, fuel)[0] == evaluate(term, name, fuel, trace=True)[0]
+        # A traced guard run at CORPUS_FUEL renders up to 10^5 states, so the
+        # reference there is the untraced run with no repeat found: it
+        # steps every transition, as a traced run does, minus the renders.
+        jumped = []
+        for term in applied:
+            repeats.clear()
+            jumped.append(evaluate(term, name, CORPUS_FUEL)[0])
+            assert repeats, (name, term)
+        monkeypatch.setattr(engines, "_same_state", lambda a, b: False)
+        assert jumped == [evaluate(term, name, CORPUS_FUEL)[0] for term in applied]
+
+    @pytest.mark.parametrize("name", CYCLE_ROWS)
+    def test_work_cap_inside_a_period(self, repeats, monkeypatch, name):
+        row = ENGINES[name]
+        steps = collections.Counter()
+
+        def counted(state):
+            steps["calls"] += 1
+            return row.step(state)
+
+        monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(row, step=counted))
+        cut_inside = 0
+        for term in (T(GUARD_TERM), T(PERIOD_3_TERM)):
+            for cap in range(1, 301):
+                monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
+                repeats.clear()
+                steps.clear()
+                untraced = evaluate(term, name, CORPUS_FUEL)[0]
+                untraced_steps = steps["calls"]
+                traced, trace = evaluate(term, name, CORPUS_FUEL, trace=True)
+                assert untraced == traced
+                assert isinstance(untraced, FuelExhausted) and untraced.reason == "work budget"
+                # A whole period was skipped, and the run stopped on a state
+                # other than the one that repeats.
+                skipped = untraced_steps < sum(e.phase == "reduce" for e in trace.events)
+                if skipped and untraced.last_state != row.render(repeats[-1]):
+                    cut_inside += 1
+        assert cut_inside
 
 
 class TestReadbackDriver:

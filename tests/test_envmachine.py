@@ -25,7 +25,7 @@ from headlab.parse import parse_term
 from headlab.syntax import App, Lam, Proj, Var, alpha_eq
 from headlab.weakhead import PStuck
 from conftest import CORPUS_FUEL
-from helpers import TRACE_FUEL
+from helpers import GUARD_INDICES, GUARD_TERM, TRACE_FUEL
 
 
 def T(src):
@@ -156,10 +156,6 @@ class TestForceChains:
             force(Closure(Var("x0"), env), max_nodes=40_000)
 
 
-# The corpus terms (of the first 100) that env-krivine and env-head run to
-# the work cap through lookup chains, and the smallest term that does so.
-GUARD_INDICES = (1, 6, 22, 76, 81)
-GUARD_TERM = r"(\x.x x) (\x.x x) (\x y.x)"
 ENV_ENGINES = ("env-krivine", "env-head")
 
 
@@ -190,9 +186,13 @@ class TestChainJump:
     @pytest.mark.parametrize("name", ENV_ENGINES)
     def test_guard_terms_match_the_stepping_row(self, corpus120, monkeypatch, name):
         # Without `chain` the untraced loop steps every lookup, as a traced
-        # run does, minus the renders.
+        # run does, minus the renders.  A row without `chain` also watches
+        # for a repeated state; the patched comparison finds none, which
+        # spares the reference a comparison through the environment at
+        # every beta (ECommand measures every state as (1, 1)).
         jumped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=None))
+        monkeypatch.setattr(engines, "_same_state", lambda a, b: False)
         stepped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         assert jumped == stepped
         assert all(isinstance(o, FuelExhausted) and o.reason == "work budget" for o in stepped)
