@@ -2,11 +2,15 @@
 
 Terms here can name their evaluation context (Mu) or pattern-match on it
 (Case); a lambda embeds as a Case that rebinds its argument and passes
-the remaining context on.  Two machines share the syntax: the plain one
-halts when a Case faces something that is not a call stack, while the
-projection variant splits a stuck co-term into its head projection and
-tail and keeps running.  Legality ties the projections appearing in
-terms to the depth of the stuck co-term they will be resolved against.
+the remaining context on.  The control syntax is the term syntax's
+leaves, syntax.Var and syntax.Proj, plus CApp, Mu, Case and the
+co-terms, and pretty prints both syntaxes with one printer.  Two
+machines share the syntax: the plain one halts when a Case faces
+something that is not a call stack, while the projection variant splits
+a stuck co-term into its head projection (a Proj, as head-proj's
+`project` makes) and tail and keeps running.  Legality ties the
+projections appearing in terms to the depth of the stuck co-term they
+will be resolved against.
 
 Substitution deserves a note: the machine rules substitute a term and a
 co-term simultaneously, and either payload may carry the other sort of
@@ -30,15 +34,13 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
-from .syntax import App, Lam, Proj, Term, Var, _cached, fresh, split_stack
+from .syntax import App, Lam, Proj, Term, Var, _cached, atoms, fresh, split_stack
 from .weakhead import PCommand, PCoTerm, PPush, PStuck
 
 __all__ = [
-    "CVar",
     "CApp",
     "Mu",
     "Case",
-    "CarS",
     "CTerm",
     "CoVar",
     "CPush",
@@ -65,12 +67,6 @@ __all__ = [
 Names = tuple[frozenset[str], frozenset[str]]
 
 _NO_NAMES: Names = (frozenset(), frozenset())
-
-
-@dataclass(frozen=True, slots=True)
-class CVar:
-    name: str
-    size: ClassVar[int] = 1
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -121,15 +117,7 @@ class Case:
         _case_fn(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class CarS:
-    """Head projection out of the stuck co-term `depth` frames down."""
-
-    depth: int
-    size: ClassVar[int] = 1
-
-
-CTerm = Union[CVar, CApp, Mu, Case, CarS]
+CTerm = Union[Var, CApp, Mu, Case, Proj]
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +193,7 @@ def _union(a: Names, b: Names) -> Names:
 def free_names_term(t: CTerm) -> Names:
     """(free term variables, free co-variables) of a term."""
     match t:
-        case CVar(name):
+        case Var(name):
             return frozenset((name,)), frozenset()
         case CApp(fun, arg):
             names = t._fn
@@ -309,9 +297,9 @@ def _sub_coterm(e, tmap, cmap, avoid_v, avoid_c) -> CCoTerm:
 
 def _sub_term(t, tmap, cmap, avoid_v, avoid_c) -> CTerm:
     match t:
-        case CVar(name):
+        case Var(name):
             return tmap.get(name, t)
-        case CarS():
+        case Proj():
             return t
     if _untouched(free_names_term(t), tmap, cmap, avoid_v, avoid_c):
         return t
@@ -342,7 +330,7 @@ def _sub_term(t, tmap, cmap, avoid_v, avoid_c) -> CTerm:
             if binder in avoid_v:
                 fv, _ = free_names_command(body)
                 renamed = fresh(avoid_v | fv | set(tmap2), binder)
-                tmap2[binder] = CVar(renamed)
+                tmap2[binder] = Var(renamed)
                 binder = renamed
                 avoid_v = avoid_v | {renamed}
             if cobinder in avoid_c:
@@ -383,7 +371,7 @@ def control_proj_step(c: CCommand) -> Optional[tuple[str, CCommand]]:
     match c.term:
         case Case(binder, cobinder, body) if isinstance(c.coterm, CStuckCo):
             depth = c.coterm.depth
-            payload = {binder: CarS(depth)}
+            payload = {binder: Proj(depth)}
             copayload = {cobinder: CStuckCo(depth + 1)}
             return "split", subst_command(body, payload, copayload)
         case _:
@@ -393,9 +381,9 @@ def control_proj_step(c: CCommand) -> Optional[tuple[str, CCommand]]:
 def control_halt(c: CCommand, projective: bool) -> tuple[str, str]:
     """Classify a state no rule applies to: ("normal" | "stuck", reason)."""
     match c.term:
-        case CVar():
+        case Var():
             return "normal", ""
-        case CarS() if projective:
+        case Proj() if projective:
             return "normal", ""
         case Case():
             if isinstance(c.coterm, CoVar):
@@ -405,36 +393,12 @@ def control_halt(c: CCommand, projective: bool) -> tuple[str, str]:
             return "stuck", "no transition applies"
 
 
-def _collect_cars_term(t: CTerm, out: list[int]) -> None:
-    match t:
-        case CarS(depth):
-            out.append(depth)
-        case CApp(fun, arg):
-            _collect_cars_term(fun, out)
-            _collect_cars_term(arg, out)
-        case Mu(_, body) | Case(_, _, body):
-            _collect_cars_term(body.term, out)
-            _collect_cars_coterm(body.coterm, out)
-        case _:
-            pass
-
-
-def _collect_cars_coterm(e: CCoTerm, out: list[int]) -> None:
-    for arg in split_stack(e, CPush)[0]:
-        _collect_cars_term(arg, out)
-
-
 def is_legal_command(c: CCommand) -> bool:
     """Every projection in the focused term or a stacked argument must be
     strictly shallower than the terminating stuck co-term.  A command
     ending in a co-variable has nothing to check and passes vacuously."""
-    args, e = split_stack(c.coterm, CPush)
-    if isinstance(e, CoVar):
-        return True
-    depths: list[int] = []
-    for item in (c.term, *args):
-        _collect_cars_term(item, depths)
-    return all(d < e.depth for d in depths)
+    e = split_stack(c.coterm, CPush)[1]
+    return isinstance(e, CoVar) or all(p.depth < e.depth for p in atoms(c, Proj))
 
 
 def legality_status(c: CCommand) -> str:
@@ -450,8 +414,8 @@ def embed_term(t: Term) -> CTerm:
 
     def go(t: Term) -> CTerm:
         match t:
-            case Var(name):
-                return CVar(name)
+            case Var():
+                return t
             case App(fun, arg):
                 return CApp(go(fun), go(arg))
             case Lam(binder, body):
@@ -467,12 +431,12 @@ def unembed_term(t: CTerm, allow_proj: bool = False) -> Term:
     """Invert the embedding.  Raises ValueError for terms outside the image
     (a Mu, or a Case whose body is not just a hand-off to its co-binder)."""
     match t:
-        case CVar(name):
-            return Var(name)
+        case Var():
+            return t
+        case Proj() if allow_proj:
+            return t
         case CApp(fun, arg):
             return App(unembed_term(fun, allow_proj), unembed_term(arg, allow_proj))
-        case CarS(depth) if allow_proj:
-            return Proj(depth)
         case Case(binder, cobinder, CCommand(body_term, CoVar(name))) if name == cobinder:
             _, free_covars = free_names_term(body_term)
             if cobinder in free_covars:

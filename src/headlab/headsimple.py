@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .fuel import FuelMeter
-from .syntax import App, Lam, NormalFormClass, Term, Var, strip_binders, subst, term_metrics
+from .syntax import App, Lam, Term, Var, strip_binders, subst, term_metrics
 from .weakhead import EvalContext, PCommand, PPush, bigstep_wh, decompose_wh, plug
 
 __all__ = [
@@ -50,7 +50,7 @@ class HTopDecomp:
 def decompose_head(t: Term) -> HTopDecomp:
     binders, core = strip_binders(t)
     decomposition = decompose_wh(core)
-    if isinstance(decomposition, NormalFormClass):
+    if decomposition is None:
         return HTopDecomp(binders, (), core)
     ctx, redex = decomposition
     return HTopDecomp(binders, ctx, redex)
@@ -62,7 +62,7 @@ def step_head_os(t: Term) -> Optional[Term]:
     is a head normal form."""
     binders, core = strip_binders(t)
     decomposition = decompose_wh(core)
-    if isinstance(decomposition, NormalFormClass):
+    if decomposition is None:
         return None
     ctx, redex = decomposition
     lam = redex.fun

@@ -5,7 +5,8 @@ the identical structure.  Machine states render in the notation of their
 engine: projection chains as car/cdr around tp, binder frames as
 Abs(x, S), environments as binding lists.  The coalesced rendering
 prints counts in place of chains: a projection offset as pick/drop, an
-anonymous binder prefix as \\^n.
+anonymous binder prefix as \\^n.  The control syntax shares the term
+syntax's Var and Proj leaves, so one term printer prints both.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _cdr_chain(depth: int) -> str:
     return text
 
 
-def _term(t: Term, pos: int, proj_style: str) -> str:
+def _term(t: Union[Term, control.CTerm], pos: int, proj_style: str) -> str:
     match t:
         case Var(name):
             return name
@@ -47,9 +48,14 @@ def _term(t: Term, pos: int, proj_style: str) -> str:
                 body = body.body
             text = f"\\{' '.join(binders)}.{_term(body, _TOP, proj_style)}"
             return f"({text})" if pos > _TOP else text
-        case App(fun, arg):
+        case App(fun, arg) | control.CApp(fun, arg):
             text = f"{_term(fun, _FUN, proj_style)} {_term(arg, _ARG, proj_style)}"
             return f"({text})" if pos > _FUN else text
+        case control.Mu(covar, body):
+            text = f"mu {covar}.{_c_command(body)}"
+            return f"({text})" if pos > _TOP else text
+        case control.Case(binder, cobinder, body):
+            return f"case[({binder} . {cobinder}).{_c_command(body)}]"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -70,31 +76,14 @@ def _p_coterm(e: weakhead.PCoTerm, style: str) -> str:
     return " . ".join([*(_term(arg, _ARG, style) for arg in args), tail])
 
 
-def _c_term(t: control.CTerm, pos: int) -> str:
-    match t:
-        case control.CVar(name):
-            return name
-        case control.CarS(depth):
-            return f"car({_cdr_chain(depth)})"
-        case control.Mu(covar, body):
-            text = f"mu {covar}.{_c_command(body)}"
-            return f"({text})" if pos > _TOP else text
-        case control.Case(binder, cobinder, body):
-            return f"case[({binder} . {cobinder}).{_c_command(body)}]"
-        case control.CApp(fun, arg):
-            text = f"{_c_term(fun, _FUN)} {_c_term(arg, _ARG)}"
-            return f"({text})" if pos > _FUN else text
-    raise TypeError(f"not a control term: {t!r}")
-
-
 def _c_coterm(e: control.CCoTerm) -> str:
     args, tail = split_stack(e, control.CPush)
     text = tail.name if isinstance(tail, control.CoVar) else _cdr_chain(tail.depth)
-    return " . ".join([*(_c_term(arg, _ARG) for arg in args), text])
+    return " . ".join([*(_term(arg, _ARG, "car") for arg in args), text])
 
 
 def _c_command(c: control.CCommand) -> str:
-    return f"<{_c_term(c.term, _TOP)} || {_c_coterm(c.coterm)}>"
+    return f"<{_term(c.term, _TOP, 'car')} || {_c_coterm(c.coterm)}>"
 
 
 def _env(env: envmachine.Env, depth: int, style: str) -> str:

@@ -34,7 +34,6 @@ from .syntax import (
     IllegalStateError,
     Index,
     Lam,
-    NormalFormClass,
     Proj,
     Term,
     Var,
@@ -125,7 +124,7 @@ def derived_step(t: TopTerm) -> Optional[tuple[str, TopTerm]]:
         absorbed = subst(t.body.body, t.body.binder, Index(t.binders))
         return "absorb", TopTerm(t.binders + 1, absorbed)
     decomposition = decompose_wh(t.body)
-    if isinstance(decomposition, NormalFormClass):
+    if decomposition is None:
         return None
     ctx, redex = decomposition
     lam = redex.fun

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Iterator, Optional, Union
 
 __all__ = [
     "Var",
@@ -44,6 +44,7 @@ __all__ = [
     "is_pure",
     "replace_atom",
     "atoms",
+    "nodes",
     "term_metrics",
 ]
 
@@ -173,17 +174,31 @@ def free_vars(t: Term) -> frozenset[str]:
             return frozenset()
 
 
+def nodes(tree) -> Iterator:
+    """Every node of a term or of a machine state, by a loop over an
+    explicit stack: App and Lam directly, any other dataclass node through
+    the fields its pattern matches (`__match_args__`) that hold nodes."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        cls = type(node)
+        if cls is App:
+            todo += node.arg, node.fun
+        elif cls is Lam:
+            todo.append(node.body)
+        elif cls is not Var:  # the commonest node, and it holds none
+            for name in getattr(cls, "__match_args__", ()):
+                child = getattr(node, name)
+                if hasattr(type(child), "__match_args__"):
+                    todo.append(child)
+
+
 def all_names(t: Term) -> frozenset[str]:
     """Every variable name occurring in t, free or bound, binder or use."""
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case App(fun, arg):
-            return all_names(fun) | all_names(arg)
-        case Lam(binder, body):
-            return all_names(body) | {binder}
-        case _:
-            return frozenset()
+    return frozenset(
+        node.binder if type(node) is Lam else node.name for node in nodes(t) if type(node) in (Var, Lam)
+    )
 
 
 def fresh(avoid: frozenset[str] | set[str], hint: str = "x") -> str:
@@ -345,15 +360,9 @@ def replace_atom(t: Term, atom: Union[Proj, Index], x: str) -> Term:
             return Var(x) if t == atom else t
 
 
-def atoms(t: Term, kind: type) -> frozenset:
-    """Every atom of type `kind` (Proj or Index) occurring in t."""
-    match t:
-        case App(fun, arg):
-            return atoms(fun, kind) | atoms(arg, kind)
-        case Lam(_, body):
-            return atoms(body, kind)
-        case _:
-            return frozenset((t,)) if isinstance(t, kind) else frozenset()
+def atoms(t, kind: type) -> frozenset:
+    """Every atom of type `kind` (Proj or Index) in a term or machine state."""
+    return frozenset(node for node in nodes(t) if isinstance(node, kind))
 
 
 def term_metrics(t) -> tuple[int, int]:

@@ -20,11 +20,9 @@ from .fuel import FuelMeter
 from .syntax import (
     App,
     Lam,
-    NormalFormClass,
     Term,
     Var,
     _cached,
-    classify,
     subst,
     term_metrics,
 )
@@ -57,8 +55,8 @@ def plug(ctx: EvalContext, t: Term) -> Term:
     return t
 
 
-def decompose_wh(t: Term) -> Union[tuple[EvalContext, App], NormalFormClass]:
-    """Split t into context and weak-head redex, or classify it when stuck.
+def decompose_wh(t: Term) -> Optional[tuple[EvalContext, App]]:
+    """Split t into context and weak-head redex, or None when it has none.
 
     The decomposition is unique: walk the application spine to its head;
     a lambda head applied to at least one argument forms the redex with
@@ -72,13 +70,13 @@ def decompose_wh(t: Term) -> Union[tuple[EvalContext, App], NormalFormClass]:
     if isinstance(head, Lam) and outermost_first:
         redex = App(head, outermost_first[-1])
         return tuple(outermost_first[:-1]), redex
-    return classify(t)
+    return None
 
 
 def step_wh_os(t: Term) -> Optional[Term]:
     """One weak-head beta step, or None when t is a weak-head normal form."""
     decomposition = decompose_wh(t)
-    if isinstance(decomposition, NormalFormClass):
+    if decomposition is None:
         return None
     ctx, redex = decomposition
     lam = redex.fun

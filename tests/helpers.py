@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 
-from headlab.control import CApp, CarS, Case, CCommand, CoVar, CPush, CStuckCo, CVar, Mu
+from headlab.control import CApp, Case, CCommand, CoVar, CPush, CStuckCo, Mu
 from headlab.engines import _machine_readback
 from headlab.headsimple import HStuck
 from headlab.pretty import print_state, print_term
@@ -125,11 +125,11 @@ def ref_control_measures(node, memo: dict | None = None) -> tuple[int, frozenset
     and a node already in it is not walked again."""
     if memo is not None and id(node) in memo:
         return memo[id(node)][1:]
-    if isinstance(node, CVar):
+    if isinstance(node, Var):
         size, fv, fc = 1, frozenset((node.name,)), frozenset()
     elif isinstance(node, CoVar):
         size, fv, fc = 1, frozenset(), frozenset((node.name,))
-    elif isinstance(node, (CarS, CStuckCo)):
+    elif isinstance(node, (Proj, CStuckCo)):
         size, fv, fc = 1, frozenset(), frozenset()
     elif isinstance(node, (CApp, CPush, CCommand)):
         if isinstance(node, CApp):

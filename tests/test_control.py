@@ -3,6 +3,7 @@ lambda terms."""
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -12,8 +13,6 @@ from headlab.control import (
     CCommand,
     CPush,
     CStuckCo,
-    CVar,
-    CarS,
     Case,
     CoVar,
     Mu,
@@ -33,7 +32,7 @@ from headlab.control import (
 )
 from headlab.engines import evaluate
 from headlab.parse import parse_term
-from headlab.syntax import App, Lam, Var, alpha_eq, fresh
+from headlab.syntax import App, Lam, Proj, Var, alpha_eq, fresh
 from headlab.weakhead import krivine_load, krivine_step
 from conftest import CORPUS_FUEL
 from helpers import ref_control_measures
@@ -45,25 +44,25 @@ def T(src):
 
 def case_identity(x="x", a="a"):
     # The embedding of \x.x with co-binder a.
-    return Case(x, a, CCommand(CVar(x), CoVar(a)))
+    return Case(x, a, CCommand(Var(x), CoVar(a)))
 
 
 class TestPlainMachineRules:
     def test_mu_captures_context(self):
-        command = CCommand(Mu("a", CCommand(CVar("x"), CoVar("a"))),
-                           CPush(CVar("y"), CStuckCo(0)))
+        command = CCommand(Mu("a", CCommand(Var("x"), CoVar("a"))),
+                           CPush(Var("y"), CStuckCo(0)))
         rule, nxt = control_step(command)
         assert rule == "mu"
-        assert nxt == CCommand(CVar("x"), CPush(CVar("y"), CStuckCo(0)))
+        assert nxt == CCommand(Var("x"), CPush(Var("y"), CStuckCo(0)))
 
     def test_case_consumes_stack_frame(self):
-        command = CCommand(case_identity(), CPush(CVar("y"), CStuckCo(0)))
+        command = CCommand(case_identity(), CPush(Var("y"), CStuckCo(0)))
         rule, nxt = control_step(command)
         assert rule == "beta"
-        assert nxt == CCommand(CVar("y"), CStuckCo(0))
+        assert nxt == CCommand(Var("y"), CStuckCo(0))
 
     def test_case_on_covariable_is_stuck(self):
-        command = CCommand(Case("x", "b", CCommand(CVar("x"), CoVar("b"))), CoVar("a"))
+        command = CCommand(Case("x", "b", CCommand(Var("x"), CoVar("b"))), CoVar("a"))
         assert control_step(command) is None
         kind, reason = control_halt(command, projective=False)
         assert kind == "stuck" and "co-variable" in reason
@@ -80,33 +79,33 @@ class TestProjectiveMachineRules:
         command = CCommand(case_identity(), CStuckCo(0))
         rule, nxt = control_proj_step(command)
         assert rule == "split"
-        assert nxt == CCommand(CarS(0), CStuckCo(1))
+        assert nxt == CCommand(Proj(0), CStuckCo(1))
 
     def test_eta_shaped_case_splits_stuck_coterm(self):
         # case[(x . a).<v || x . a>] against a stuck co-term steps to
         # <v || car S . cdr S>.
-        v = CVar("v")
-        body = CCommand(v, CPush(CVar("x"), CoVar("a")))
+        v = Var("v")
+        body = CCommand(v, CPush(Var("x"), CoVar("a")))
         command = CCommand(Case("x", "a", body), CStuckCo(2))
         rule, nxt = control_proj_step(command)
         assert rule == "split"
-        assert nxt == CCommand(v, CPush(CarS(2), CStuckCo(3)))
+        assert nxt == CCommand(v, CPush(Proj(2), CStuckCo(3)))
 
     def test_eta_shaped_case_consumes_push(self):
-        v = CVar("v")
-        body = CCommand(v, CPush(CVar("x"), CoVar("a")))
-        pushed = CPush(CVar("w"), CStuckCo(0))
+        v = Var("v")
+        body = CCommand(v, CPush(Var("x"), CoVar("a")))
+        pushed = CPush(Var("w"), CStuckCo(0))
         command = CCommand(Case("x", "a", body), pushed)
         rule, nxt = control_proj_step(command)
         assert rule == "beta"
         assert nxt == CCommand(v, pushed)
 
     def test_call_stack_rule_unchanged(self):
-        command = CCommand(case_identity(), CPush(CVar("y"), CStuckCo(0)))
+        command = CCommand(case_identity(), CPush(Var("y"), CStuckCo(0)))
         assert control_proj_step(command) == control_step(command)
 
     def test_projection_heads_halt(self):
-        command = CCommand(CarS(0), CStuckCo(1))
+        command = CCommand(Proj(0), CStuckCo(1))
         assert control_proj_step(command) is None
         assert control_halt(command, projective=True) == ("normal", "")
 
@@ -115,14 +114,14 @@ class TestSubstitution:
     def test_simultaneous_substitution_does_not_chain(self):
         # Substituting x := (a term mentioning y) and y := (another term)
         # in one pass must not rewrite the first payload's y.
-        body = CCommand(CApp(CVar("x"), CVar("y")), CStuckCo(0))
-        result = subst_command(body, {"x": CVar("y"), "y": CVar("z")}, {})
-        assert result == CCommand(CApp(CVar("y"), CVar("z")), CStuckCo(0))
+        body = CCommand(CApp(Var("x"), Var("y")), CStuckCo(0))
+        result = subst_command(body, {"x": Var("y"), "y": Var("z")}, {})
+        assert result == CCommand(CApp(Var("y"), Var("z")), CStuckCo(0))
 
     def test_covariable_capture_avoided(self):
         # Pushing a co-term with a free co-variable under a Mu binding the
         # same name must rename the Mu binder.
-        inner = Mu("a", CCommand(CVar("x"), CoVar("b")))
+        inner = Mu("a", CCommand(Var("x"), CoVar("b")))
         command = CCommand(inner, CoVar("ignored"))
         substituted = subst_command(command, {}, {"b": CoVar("a")})
         mu = substituted.term
@@ -131,39 +130,39 @@ class TestSubstitution:
         assert mu.body.coterm == CoVar("a")
 
     def test_term_variable_capture_avoided(self):
-        case = Case("x", "a", CCommand(CApp(CVar("x"), CVar("y")), CoVar("a")))
+        case = Case("x", "a", CCommand(CApp(Var("x"), Var("y")), CoVar("a")))
         command = CCommand(case, CoVar("k"))
-        substituted = subst_command(command, {"y": CVar("x")}, {})
+        substituted = subst_command(command, {"y": Var("x")}, {})
         out = substituted.term
         assert isinstance(out, Case)
         assert out.binder != "x"
-        assert out.body.term == CApp(CVar(out.binder), CVar("x"))
+        assert out.body.term == CApp(Var(out.binder), Var("x"))
 
     def test_rename_cascades_past_colliding_inner_binder(self):
         # Renaming the outer binder y must not let an inner binder that
         # already carries the fresh name capture the renamed occurrences.
-        inner = Case("y1", "b", CCommand(CVar("y"), CoVar("b")))
-        cmd = CCommand(Case("y", "a", CCommand(CApp(CVar("w"), inner), CoVar("a"))), CoVar("k"))
-        out = subst_command(cmd, {"w": CVar("y")}, {}).term
+        inner = Case("y1", "b", CCommand(Var("y"), CoVar("b")))
+        cmd = CCommand(Case("y", "a", CCommand(CApp(Var("w"), inner), CoVar("a"))), CoVar("k"))
+        out = subst_command(cmd, {"w": Var("y")}, {}).term
         assert isinstance(out, Case)
         inner_out = out.body.term.arg
         assert inner_out.binder != out.binder
-        assert inner_out.body.term == CVar(out.binder)
+        assert inner_out.body.term == Var(out.binder)
 
 
 class TestLegality:
     def test_split_result_is_legal(self):
-        assert is_legal_command(CCommand(CarS(0), CStuckCo(1)))
+        assert is_legal_command(CCommand(Proj(0), CStuckCo(1)))
 
     def test_projection_at_top_depth_is_illegal(self):
-        assert not is_legal_command(CCommand(CarS(0), CStuckCo(0)))
+        assert not is_legal_command(CCommand(Proj(0), CStuckCo(0)))
 
     def test_stacked_projections_legal(self):
-        command = CCommand(CVar("x"), CPush(CarS(1), CStuckCo(2)))
+        command = CCommand(Var("x"), CPush(Proj(1), CStuckCo(2)))
         assert is_legal_command(command)
 
     def test_covariable_ended_commands_not_applicable(self):
-        command = CCommand(CarS(5), CoVar("a"))
+        command = CCommand(Proj(5), CoVar("a"))
         assert legality_status(command) == "not-applicable"
         assert is_legal_command(command)
 
@@ -181,11 +180,43 @@ class TestLegality:
         assert checked > 200
 
 
+class TestDeepLegality:
+    """The legality check walks an explicit stack, so it returns on commands
+    far deeper than the recursion limit, which these tests lower and
+    restore."""
+
+    DEPTH = 100_000
+
+    @pytest.fixture(autouse=True)
+    def low_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        yield
+        sys.setrecursionlimit(limit)
+
+    def test_capp_spine(self):
+        t = Var("f")
+        for i in range(self.DEPTH):
+            t = CApp(t, Proj(i % 2))
+        assert is_legal_command(CCommand(t, CStuckCo(2)))
+        assert not is_legal_command(CCommand(t, CStuckCo(1)))
+
+    def test_mu_nest(self):
+        def nest(bottom):
+            command = CCommand(bottom, CStuckCo(1))
+            for _ in range(self.DEPTH):
+                command = CCommand(Mu("a", command), CPush(Var("x"), CStuckCo(1)))
+            return command
+
+        assert is_legal_command(nest(Proj(0)))
+        assert not is_legal_command(nest(Proj(1)))
+
+
 class TestEmbedding:
     def test_lambda_becomes_case(self):
         embedded = embed_term(T(r"\x.x"))
         assert isinstance(embedded, Case)
-        assert embedded.body == CCommand(CVar("x"), CoVar(embedded.cobinder))
+        assert embedded.body == CCommand(Var("x"), CoVar(embedded.cobinder))
 
     def test_round_trip(self, corpus120):
         for term in corpus120:
@@ -193,7 +224,7 @@ class TestEmbedding:
 
     def test_unembed_rejects_mu(self):
         with pytest.raises(ValueError):
-            unembed_term(Mu("a", CCommand(CVar("x"), CoVar("a"))))
+            unembed_term(Mu("a", CCommand(Var("x"), CoVar("a"))))
 
     def test_plain_machine_bisimulates_krivine(self, corpus120):
         # Step the embedded term and the plain Krivine machine side by
@@ -255,7 +286,7 @@ def _run(term, step, fuel=100, max_nodes=2_000):
 def _gen_term(rng, depth):
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
-        return CVar(rng.choice("xyz")) if roll < 0.2 else CarS(rng.randrange(3))
+        return Var(rng.choice("xyz")) if roll < 0.2 else Proj(rng.randrange(3))
     if roll < 0.55:
         return CApp(_gen_term(rng, depth - 1), _gen_term(rng, depth - 1))
     if roll < 0.75:
@@ -336,53 +367,53 @@ class TestCachedMeasures:
         assert mismatches == []
 
     def test_atoms_have_size_one_and_fixed_names(self):
-        assert [cls.size for cls in (CVar, CarS, CoVar, CStuckCo)] == [1, 1, 1, 1]
-        assert free_names_term(CVar("x")) == (frozenset({"x"}), frozenset())
-        assert free_names_term(CarS(2)) == (frozenset(), frozenset())
+        assert [cls.size for cls in (Var, Proj, CoVar, CStuckCo)] == [1, 1, 1, 1]
+        assert free_names_term(Var("x")) == (frozenset({"x"}), frozenset())
+        assert free_names_term(Proj(2)) == (frozenset(), frozenset())
         assert free_names_coterm(CoVar("k")) == (frozenset(), frozenset({"k"}))
         assert free_names_coterm(CStuckCo(0)) == (frozenset(), frozenset())
 
     def test_subst_command_returns_untouched_subterms(self):
         # The machines substitute closed payloads into closed programs, the
         # case in which untouched subterms are shared.
-        fun = Case("y", "j", CCommand(CVar("y"), CoVar("j")))
-        arg = CApp(CVar("x"), CVar("z"))
-        coterm = CPush(CVar("w"), CStuckCo(0))
+        fun = Case("y", "j", CCommand(Var("y"), CoVar("j")))
+        arg = CApp(Var("x"), Var("z"))
+        coterm = CPush(Var("w"), CStuckCo(0))
         command = CCommand(CApp(fun, arg), coterm)
-        result = subst_command(command, {"x": CarS(0)}, {"k": CStuckCo(1)})
-        assert result == CCommand(CApp(fun, CApp(CarS(0), CVar("z"))), coterm)
+        result = subst_command(command, {"x": Proj(0)}, {"k": CStuckCo(1)})
+        assert result == CCommand(CApp(fun, CApp(Proj(0), Var("z"))), coterm)
         assert result.term.fun is fun
         assert result.term.arg.arg is arg.arg
         assert result.coterm is coterm
-        assert subst_command(command, {"q": CarS(0)}, {"k": CStuckCo(1)}) is command
-        assert subst_command(command, {"y": CarS(0)}, {"j": CStuckCo(1)}) is command
+        assert subst_command(command, {"q": Proj(0)}, {"k": CStuckCo(1)}) is command
+        assert subst_command(command, {"y": Proj(0)}, {"j": CStuckCo(1)}) is command
 
     def test_open_payloads_keep_the_binder_renaming(self):
         # A payload with a free name renames a binder of that name even
         # where no key is free below it, as substitution always has, so no
         # state is spelled differently; only closed payloads share.
-        inner = Case("y", "j", CCommand(CVar("y"), CoVar("j")))
-        command = CCommand(CApp(CVar("x"), inner), CStuckCo(0))
-        result = subst_command(command, {"x": CVar("y")}, {})
+        inner = Case("y", "j", CCommand(Var("y"), CoVar("j")))
+        command = CCommand(CApp(Var("x"), inner), CStuckCo(0))
+        result = subst_command(command, {"x": Var("y")}, {})
         assert result == CCommand(
-            CApp(CVar("y"), Case("y1", "j", CCommand(CVar("y1"), CoVar("j")))), CStuckCo(0),
+            CApp(Var("y"), Case("y1", "j", CCommand(Var("y1"), CoVar("j")))), CStuckCo(0),
         )
-        assert subst_command(command, {"x": CVar("u")}, {}).term.arg == inner
-        assert subst_command(command, {"x": CarS(0)}, {}).term.arg is inner
+        assert subst_command(command, {"x": Var("u")}, {}).term.arg == inner
+        assert subst_command(command, {"x": Proj(0)}, {}).term.arg is inner
 
     def test_values_unchanged_by_cached_fields(self):
         def build():
-            body = CCommand(Case("y", "j", CCommand(CarS(0), CoVar("j"))), CPush(CVar("z"), CStuckCo(1)))
-            return CCommand(CApp(CVar("x"), Mu("k", body)), CoVar("k"))
+            body = CCommand(Case("y", "j", CCommand(Proj(0), CoVar("j"))), CPush(Var("z"), CStuckCo(1)))
+            return CCommand(CApp(Var("x"), Mu("k", body)), CoVar("k"))
 
         command = build()
         assert repr(command) == (
-            "CCommand(term=CApp(fun=CVar(name='x'), arg=Mu(covar='k', body=CCommand("
-            "term=Case(binder='y', cobinder='j', body=CCommand(term=CarS(depth=0), "
-            "coterm=CoVar(name='j'))), coterm=CPush(arg=CVar(name='z'), rest=CStuckCo(depth=1))))), "
+            "CCommand(term=CApp(fun=Var(name='x'), arg=Mu(covar='k', body=CCommand("
+            "term=Case(binder='y', cobinder='j', body=CCommand(term=Proj(depth=0), "
+            "coterm=CoVar(name='j'))), coterm=CPush(arg=Var(name='z'), rest=CStuckCo(depth=1))))), "
             "coterm=CoVar(name='k'))"
         )
-        assert [cls.__match_args__ for cls in (CVar, CApp, Mu, Case, CarS, CoVar, CPush, CStuckCo, CCommand)] == [
+        assert [cls.__match_args__ for cls in (Var, CApp, Mu, Case, Proj, CoVar, CPush, CStuckCo, CCommand)] == [
             ("name",), ("fun", "arg"), ("covar", "body"), ("binder", "cobinder", "body"), ("depth",),
             ("name",), ("arg", "rest"), ("depth",), ("term", "coterm"),
         ]
@@ -393,11 +424,11 @@ class TestCachedMeasures:
         assert hash(command) == hash((command.term, command.coterm))
         assert hash(mu) == hash(("k", mu.body))
         assert hash(mu.body.term) == hash(("y", "j", mu.body.term.body))
-        assert hash(mu.body.coterm) == hash((CVar("z"), CStuckCo(1)))
-        assert command != CCommand(CApp(CVar("x"), Mu("k2", mu.body)), CoVar("k"))
+        assert hash(mu.body.coterm) == hash((Var("z"), CStuckCo(1)))
+        assert command != CCommand(CApp(Var("x"), Mu("k2", mu.body)), CoVar("k"))
         for node, name in (
             (command, "term"), (command.term, "fun"), (mu, "covar"), (mu.body.term, "binder"),
-            (mu.body.coterm, "rest"), (CVar("x"), "name"), (CarS(0), "depth"), (CoVar("k"), "name"),
+            (mu.body.coterm, "rest"), (Var("x"), "name"), (Proj(0), "depth"), (CoVar("k"), "name"),
             (CStuckCo(0), "depth"), (command, "size"), (mu, "_fn"),
         ):
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -128,7 +128,7 @@ class TestEvaluate:
 
     def test_an_untraced_run_renders_nothing(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("_term", "_c_term"):
+        for name in ("_term", "_c_command"):
 
             def counted(*args, _name=name, _printer=getattr(pretty, name)):
                 calls[_name] += 1
@@ -142,7 +142,7 @@ class TestEvaluate:
         assert calls == {}
         for name in engine_names():
             evaluate(term, name, 100, trace=True)
-        assert calls["_term"] > 0 and calls["_c_term"] > 0
+        assert calls["_term"] > 0 and calls["_c_command"] > 0
 
     def test_every_engine_renders_every_trace_state(self):
         probes = [T(r"\x.(\y.y) x"), T(r"(\f.f (f w)) (\u.u)"), T("q w"), T(r"\a.\b.a (b q)")]

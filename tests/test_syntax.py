@@ -1,6 +1,7 @@
 """Core term operations against an independent nameless-term oracle."""
 
 import random
+import sys
 
 import pytest
 
@@ -192,6 +193,37 @@ class TestIsPure:
         for _ in range(self.DEPTH):
             t = self.WRAP[shape](t)
         assert syntax.is_pure(t) is pure
+
+
+class TestDeepWalks:
+    """all_names and atoms walk an explicit stack, so they return on terms
+    far deeper than the recursion limit, which these tests lower and
+    restore."""
+
+    DEPTH = 100_000
+
+    @pytest.fixture(autouse=True)
+    def low_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        yield
+        sys.setrecursionlimit(limit)
+
+    def test_lambda_nest(self):
+        t = App(Var("y"), Proj(3))
+        for i in range(self.DEPTH):
+            t = Lam(f"x{i % 3}", t)
+        assert all_names(t) == {"x0", "x1", "x2", "y"}
+        assert syntax.atoms(t, Proj) == {Proj(3)}
+        assert syntax.atoms(t, Index) == frozenset()
+
+    def test_spine(self):
+        t = Var("f")
+        for i in range(self.DEPTH):
+            t = App(t, Proj(i % 3) if i % 2 else Var(f"y{i % 4}"))
+        assert all_names(t) == {"f", "y0", "y2"}
+        assert syntax.atoms(t, Proj) == {Proj(0), Proj(1), Proj(2)}
+        assert syntax.atoms(t, Index) == frozenset()
 
 
 class TestAlphaEq:
