@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Union
 from . import control, envmachine, headsimple, projection, weakhead
 from .fuel import FuelMeter, OutOfFuel
 from .pretty import print_state, print_term
-from .syntax import IllegalStateError, Term, alpha_eq, is_pure, term_metrics
+from .syntax import IllegalStateError, Term, alpha_eq, is_pure, same_tree, term_metrics
 
 __all__ = [
     "Normal",
@@ -173,7 +173,8 @@ class Engine:
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
     # chain(state, limit) -> (n, state'): n <= limit non-beta transitions in
     # one jump (envmachine.env_lookups); untraced runs only.  A stepping row
-    # without `chain` gets the cycle jump of `evaluate` instead.
+    # without `chain` gets the cycle jump of `evaluate` instead, and a
+    # big-step row the one its loops make through `FuelMeter.watch`.
     chain: Optional[Callable[[object, int], tuple[int, object]]] = None
 
 
@@ -423,29 +424,6 @@ def _render_capped(engine: Engine, state: object) -> str:
     return f"<state with ~{size} nodes>"
 
 
-def _same_state(a: object, b: object) -> bool:
-    """Structural equality of two machine states, as a loop over an explicit
-    stack of pairs: a dataclass node compares the fields its pattern
-    matches (`__match_args__`), any other value compares with ==, and a
-    shared subtree is equal by `is`.  It never recurses, so it compares
-    states of any depth, which == does not."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        cls = type(a)
-        if cls is not type(b):
-            return False
-        fields = getattr(cls, "__match_args__", None)
-        if fields is None:
-            if a != b:
-                return False
-        else:
-            todo.extend([(getattr(a, f), getattr(b, f)) for f in fields])
-    return True
-
-
 def evaluate(
     term: Term,
     engine: str = "krivine",
@@ -464,7 +442,9 @@ def evaluate(
     state).  On a repeat the run is periodic, and it jumps as many whole
     periods as fit before the beta budget or the work cap, then steps on
     to the end.  The state after the jump equals the state before it, so
-    the outcome is the one stepping gives.
+    the outcome is the one stepping gives.  The evaluator loops of a
+    big-step row make the same jump on their own terms, traced or not,
+    since they get no log here (`FuelMeter.watch`).
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
@@ -522,7 +502,7 @@ def evaluate(
                     return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
                 # A repeat counts only where the work check below passes.
                 if detect and steps <= steps_left:
-                    if size == mark_size and depth == mark_height and _same_state(state, mark):
+                    if size == mark_size and depth == mark_height and same_tree(state, mark):
                         # Each period adds the same betas, steps and work.
                         # Steps minus steps_left never falls, so a jump
                         # whose last state is under both caps skips no

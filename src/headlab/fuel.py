@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .syntax import Term, same_tree
+
 __all__ = ["OutOfFuel", "FuelMeter"]
 
 
@@ -32,3 +34,31 @@ class FuelMeter:
         self.work += nodes
         if self.work > self.work_limit:
             raise OutOfFuel("work")
+
+    def watch(self, t: Term, mark: tuple | None) -> tuple:
+        """Brent's cycle detection for one run of an evaluator loop: called
+        after each contraction is charged, with the term `t` the loop goes
+        on with and what this returned last time (None at the first).
+
+        The mark (term, betas, work, power) moves to `t` once the betas
+        since it reach `power`, which then doubles.  When `t` equals the
+        marked term the loop is periodic, since from `t` on its run, nested
+        calls included, depends on `t` alone; so the meter counts as many
+        whole periods of betas and work as fit under both limits.  Both
+        counts only grow, so the run stops where evaluating them would.
+        """
+        if mark is None:
+            return t, self.betas, self.work, 1
+        m, betas, work, power = mark
+        if t.size == m.size and t.height == m.height and same_tree(t, m):
+            period, d_work = self.betas - betas, self.work - work
+            k = (self.limit - self.betas) // period
+            if self.work_limit is not None:
+                k = min(k, (self.work_limit - self.work) // d_work)
+            self.betas += k * period
+            self.work += k * d_work
+            # Less than a period is left, so a later repeat adds nothing.
+            return t, self.betas, self.work, power
+        if self.betas - betas >= power:
+            return t, self.betas, self.work, 2 * power
+        return mark

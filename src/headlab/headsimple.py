@@ -6,7 +6,9 @@ co-term (on the Krivine machine's state, with `HStuck` at the bottom of
 the call stack), a big-step evaluator layered on weak-head evaluation,
 and Sestoft's big-step formulation.  The two big-step evaluators are kept
 independent so that their agreement, beta step for beta step, is an
-actual cross-check and not a tautology.
+actual cross-check and not a tautology: each contracts every redex on
+its own, and the periods a diverging run skips without a log are only
+counted by the shared meter (`FuelMeter.watch`).
 """
 
 from __future__ import annotations
@@ -133,8 +135,10 @@ def bigstep_sestoft(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) 
     Application logic is spelled out again instead of delegating to the
     weak-head loop for the whole term: evaluate the function to weak head,
     contract if it is a lambda, otherwise stop with the argument intact;
-    a lambda at the focus means descend and continue.
+    a lambda at the focus means descend and continue.  As in
+    `bigstep_wh`, without a `log` the meter watches the loop's terms.
     """
+    mark = None
     while True:
         match t:
             case Var():
@@ -149,6 +153,8 @@ def bigstep_sestoft(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) 
                     fuel.spend()
                     t = subst(fun_wh.body, fun_wh.binder, arg)
                     fuel.charge(term_metrics(t)[0])
+                    if log is None:
+                        mark = fuel.watch(t, mark)
                 else:
                     return App(fun_wh, arg)
             case _:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
-    App,
     IllegalStateError,
     Index,
     Lam,

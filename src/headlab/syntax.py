@@ -45,6 +45,7 @@ __all__ = [
     "replace_atom",
     "atoms",
     "nodes",
+    "same_tree",
     "term_metrics",
 ]
 
@@ -192,6 +193,29 @@ def nodes(tree) -> Iterator:
                 child = getattr(node, name)
                 if hasattr(type(child), "__match_args__"):
                     todo.append(child)
+
+
+def same_tree(a, b) -> bool:
+    """Structural equality of two terms or machine states, as a loop over
+    an explicit stack of pairs: a dataclass node compares the fields its
+    pattern matches (`__match_args__`), any other value compares with ==,
+    and a shared subtree is equal by `is`.  It never recurses, so it
+    compares trees of any depth, which == does not."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        fields = getattr(cls, "__match_args__", None)
+        if fields is None:
+            if a != b:
+                return False
+        else:
+            todo.extend([(getattr(a, f), getattr(b, f)) for f in fields])
+    return True
 
 
 def all_names(t: Term) -> frozenset[str]:

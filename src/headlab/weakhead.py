@@ -175,7 +175,10 @@ def bigstep_wh(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) -> Te
     continues on the contractum; anything else leaves the argument in
     place untouched.  The continuation premise is run as a loop so the
     Python stack only grows with spine nesting, never with beta count.
+    Without a `log` the meter watches the loop's terms, and counts the
+    periods of a repeating run that the loop then skips (`FuelMeter.watch`).
     """
+    mark = None
     while True:
         if not isinstance(t, App):
             return t
@@ -186,5 +189,7 @@ def bigstep_wh(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) -> Te
             fuel.spend()
             t = subst(fun.body, fun.binder, t.arg)
             fuel.charge(term_metrics(t)[0])
+            if log is None:
+                mark = fuel.watch(t, mark)
         else:
             return App(fun, t.arg)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import headlab
-from headlab import control, engines, envmachine, headsimple, pretty, projection, syntax, weakhead
+from headlab import control, engines, envmachine, fuel, headsimple, pretty, projection, syntax, weakhead
 from headlab.cli import main
 from headlab.engines import (
     CONTROL_ENGINE_NAMES,
@@ -32,6 +32,7 @@ from headlab.engines import (
     get_engine,
     resolve_fuel,
 )
+from headlab.fuel import FuelMeter, OutOfFuel
 from headlab.gen import GenConfig, gen_term, gen_terms
 from headlab.parse import parse_term
 from headlab.pretty import print_state
@@ -285,6 +286,21 @@ class TestDeepTerms:
         assert isinstance(outcome, (Normal, FuelExhausted, Stuck))
 
 
+def spy_repeats(monkeypatch, module):
+    """The trees that `module.same_tree` finds repeated, in call order."""
+    found = []
+    same_tree = module.same_tree
+
+    def spy(a, b):
+        same = same_tree(a, b)
+        if same:
+            found.append(a)
+        return same
+
+    monkeypatch.setattr(module, "same_tree", spy)
+    return found
+
+
 # The rows the cycle jump covers: every stepping row without `chain`.
 CYCLE_ROWS = tuple(n for n, e in ENGINES.items() if e.step is not None and e.chain is None)
 # Its states repeat every 3 betas, after one to three betas that do not.
@@ -298,18 +314,7 @@ class TestCycleJump:
 
     @pytest.fixture
     def repeats(self, monkeypatch):
-        """The states `engines._same_state` finds repeated, in call order."""
-        found = []
-        same_state = engines._same_state
-
-        def spy(a, b):
-            same = same_state(a, b)
-            if same:
-                found.append(a)
-            return same
-
-        monkeypatch.setattr(engines, "_same_state", spy)
-        return found
+        return spy_repeats(monkeypatch, engines)
 
     def test_covered_rows(self):
         assert CYCLE_ROWS == (
@@ -327,7 +332,7 @@ class TestCycleJump:
         ],
     )
     def test_match_args_are_the_compared_fields(self, cls):
-        # _same_state compares a node's __match_args__ and nothing else.
+        # same_tree compares a node's __match_args__ and nothing else.
         assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls) if f.compare)
 
     def test_same_state_compares_deeper_than_the_recursion_limit(self):
@@ -335,9 +340,9 @@ class TestCycleJump:
         for _ in range(5_000):
             a, b, c = Lam("x", a), Lam("x", b), Lam("x", c)
         pair = weakhead.PCommand(a, weakhead.TOP)
-        assert engines._same_state(pair, weakhead.PCommand(b, weakhead.TOP))
-        assert not engines._same_state(pair, weakhead.PCommand(c, weakhead.TOP))
-        assert not engines._same_state(pair, weakhead.PCommand(a, weakhead.PStuck(1)))
+        assert syntax.same_tree(pair, weakhead.PCommand(b, weakhead.TOP))
+        assert not syntax.same_tree(pair, weakhead.PCommand(c, weakhead.TOP))
+        assert not syntax.same_tree(pair, weakhead.PCommand(a, weakhead.PStuck(1)))
 
     @pytest.mark.parametrize("name", CYCLE_ROWS)
     def test_untraced_matches_traced_on_guard_terms(self, corpus120, repeats, monkeypatch, name):
@@ -355,7 +360,7 @@ class TestCycleJump:
             repeats.clear()
             jumped.append(evaluate(term, name, CORPUS_FUEL)[0])
             assert repeats, (name, term)
-        monkeypatch.setattr(engines, "_same_state", lambda a, b: False)
+        monkeypatch.setattr(engines, "same_tree", lambda a, b: False)
         assert jumped == [evaluate(term, name, CORPUS_FUEL)[0] for term in applied]
 
     @pytest.mark.parametrize("name", CYCLE_ROWS)
@@ -383,6 +388,75 @@ class TestCycleJump:
                 # other than the one that repeats.
                 skipped = untraced_steps < sum(e.phase == "reduce" for e in trace.events)
                 if skipped and untraced.last_state != row.render(repeats[-1]):
+                    cut_inside += 1
+        assert cut_inside
+
+
+# The big-step rows, whose evaluator loops let the meter skip periods.
+BIGSTEP_ROWS = tuple(n for n, e in ENGINES.items() if e.bigstep is not None)
+
+
+class TestBigstepCycleJump:
+    """Called without a log, a big-step evaluator lets the meter skip whole
+    periods of a loop whose term repeats; the same call with `log=[]`
+    contracts every redex and is the reference."""
+
+    @staticmethod
+    def run(name, term, meter, log):
+        try:
+            result = ENGINES[name].bigstep(term, meter, log)
+        except OutOfFuel as exc:
+            result = exc.kind
+        return result, meter.betas, meter.work
+
+    def logged(self, name, term, meter):
+        log = []
+        outcome = self.run(name, term, meter, log)
+        # The log holds every contraction, the one that ran out included.
+        assert len(log) == meter.betas
+        return outcome
+
+    @pytest.fixture
+    def repeats(self, monkeypatch):
+        return spy_repeats(monkeypatch, fuel)
+
+    def test_covered_rows(self):
+        assert BIGSTEP_ROWS == ("wh-bigstep", "head-bigstep", "sestoft")
+
+    @pytest.mark.parametrize("name", BIGSTEP_ROWS)
+    def test_jumped_matches_logged_on_guard_terms(self, corpus120, repeats, name):
+        guards = [corpus120[i] for i in GUARD_INDICES]
+        applied = [form for t in guards for form in (t, App(t, Var("y")), App(t, Var("x")))]
+        for term in applied:
+            for budget in (*range(1, 13), CORPUS_FUEL):
+                repeats.clear()
+                jumped = self.run(name, term, FuelMeter(budget, engines.MAX_TOTAL_WORK), None)
+                assert jumped == self.logged(name, term, FuelMeter(budget, engines.MAX_TOTAL_WORK))
+            # The run at CORPUS_FUEL found a repeat.
+            assert repeats, (name, term)
+
+    @pytest.mark.parametrize("name", BIGSTEP_ROWS)
+    def test_work_cap_inside_a_period(self, repeats, monkeypatch, name):
+        measured = []
+
+        def recorded(t):
+            measured.append(t)
+            return term_metrics(t)
+
+        for module in (weakhead, headsimple):
+            monkeypatch.setattr(module, "term_metrics", recorded)
+        cut_inside = 0
+        for term in (T(GUARD_TERM), T(PERIOD_3_TERM)):
+            for cap in range(1, 301):
+                repeats.clear()
+                measured.clear()
+                jumped = self.run(name, term, FuelMeter(CORPUS_FUEL, cap), None)
+                contracted = len(measured)
+                assert jumped == self.logged(name, term, FuelMeter(CORPUS_FUEL, cap))
+                assert jumped[0] == "work"
+                # A whole period was skipped, and the run stopped on a term
+                # other than the one that repeats.
+                if contracted < jumped[1] and not syntax.same_tree(measured[contracted - 1], repeats[-1]):
                     cut_inside += 1
         assert cut_inside
 
@@ -658,6 +732,16 @@ class TestCli:
         _, err = capsys.readouterr()
         assert code == 2
         assert err == "fuel exhausted after 30 betas (beta budget)\n"
+
+    def test_bigstep_rows_at_the_default_fuel(self, monkeypatch, capsys):
+        # Ω's contractum has 9 nodes, so the 500,000 work cap stops every
+        # big-step row at beta 55,556, before the 100,000-beta budget.
+        omega = r"(\x.x x) (\x.x x)"
+        code, _, err = run_cli(["eval", "--engine", "sestoft", "-"], omega, monkeypatch, capsys)
+        assert code == 2
+        assert err == "fuel exhausted after 55556 betas (work budget)\n"
+        report = compare(T(omega), BIGSTEP_ROWS)
+        assert [r.outcome for r in report.results] == [FuelExhausted("<abandoned>", 55_556, "work budget")] * 3
 
     def test_eval_stuck_exit_code(self, tmp_path, capsys):
         src = tmp_path / "id.lam"

@@ -192,7 +192,7 @@ class TestChainJump:
         # every beta (ECommand measures every state as (1, 1)).
         jumped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=None))
-        monkeypatch.setattr(engines, "_same_state", lambda a, b: False)
+        monkeypatch.setattr(engines, "same_tree", lambda a, b: False)
         stepped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         assert jumped == stepped
         assert all(isinstance(o, FuelExhausted) and o.reason == "work budget" for o in stepped)
