@@ -7,7 +7,6 @@ Exit codes: 0 normal result or agreement, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -63,6 +62,10 @@ def _cmd_eval(args) -> int:
     term = _load_term(args.file)
     outcome, trace = evaluate(term, args.engine, args.fuel, trace=args.trace)
     if args.format == "json":
+        # Imported here: every other command and format would pay for it
+        # at start-up.
+        import json
+
         if trace is not None:
             for event in trace.events:
                 print(json.dumps({

@@ -25,16 +25,16 @@ fill on first use; like the memo of syntax.App it is an idempotent cache.
 With it, substitution returns a subterm in which no key is free unchanged
 instead of copying it, as long as no payload has a free name (which could
 make a binder rename).  None of these fields takes part in `==`, `hash`,
-`repr` or pattern matching.
+`repr` or pattern matching: as in syntax, they are slots outside each
+node's `__match_args__`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
-from .syntax import App, Lam, Proj, Term, Var, _cached, atoms, fresh, split_stack
+from .syntax import App, Lam, Node, Proj, Term, Var, atoms, fresh, split_stack
 from .weakhead import PCommand, PCoTerm, PPush, PStuck
 
 __all__ = [
@@ -69,12 +69,9 @@ Names = tuple[frozenset[str], frozenset[str]]
 _NO_NAMES: Names = (frozenset(), frozenset())
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CApp:
-    fun: "CTerm"
-    arg: "CTerm"
-    size: int = _cached()
-    _fn: Optional[Names] = _cached()
+class CApp(Node):
+    __match_args__ = ("fun", "arg")
+    __slots__ = ("fun", "arg", "size", "_fn")
 
     def __init__(self, fun: "CTerm", arg: "CTerm") -> None:
         _capp_fun(self, fun)
@@ -83,14 +80,11 @@ class CApp:
         _capp_fn(self, None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Mu:
+class Mu(Node):
     """Capture the current co-term under a name and run the body."""
 
-    covar: str
-    body: "CCommand"
-    size: int = _cached()
-    _fn: Optional[Names] = _cached()
+    __match_args__ = ("covar", "body")
+    __slots__ = ("covar", "body", "size", "_fn")
 
     def __init__(self, covar: str, body: "CCommand") -> None:
         _mu_covar(self, covar)
@@ -99,15 +93,11 @@ class Mu:
         _mu_fn(self, None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Case:
+class Case(Node):
     """Pattern-match on the co-term: bind its head argument and its tail."""
 
-    binder: str
-    cobinder: str
-    body: "CCommand"
-    size: int = _cached()
-    _fn: Optional[Names] = _cached()
+    __match_args__ = ("binder", "cobinder", "body")
+    __slots__ = ("binder", "cobinder", "body", "size", "_fn")
 
     def __init__(self, binder: str, cobinder: str, body: "CCommand") -> None:
         _case_binder(self, binder)
@@ -120,18 +110,17 @@ class Case:
 CTerm = Union[Var, CApp, Mu, Case, Proj]
 
 
-@dataclass(frozen=True, slots=True)
-class CoVar:
-    name: str
-    size: ClassVar[int] = 1
+class CoVar(Node):
+    __slots__ = __match_args__ = ("name",)
+    size = 1
+
+    def __init__(self, name: str) -> None:
+        _covar_name(self, name)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CPush:
-    arg: CTerm
-    rest: "CCoTerm"
-    size: int = _cached()
-    _fn: Optional[Names] = _cached()
+class CPush(Node):
+    __match_args__ = ("arg", "rest")
+    __slots__ = ("arg", "rest", "size", "_fn")
 
     def __init__(self, arg: CTerm, rest: "CCoTerm") -> None:
         _cpush_arg(self, arg)
@@ -140,25 +129,24 @@ class CPush:
         _cpush_fn(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class CStuckCo:
+class CStuckCo(Node):
     """The top level with `depth` frames dropped; 0 is the top itself."""
 
-    depth: int
-    size: ClassVar[int] = 1
+    __slots__ = __match_args__ = ("depth",)
+    size = 1
+
+    def __init__(self, depth: int) -> None:
+        _cstuckco_depth(self, depth)
 
 
 CCoTerm = Union[CoVar, CPush, CStuckCo]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CCommand:
-    term: CTerm
-    coterm: CCoTerm
-    size: int = _cached()
-    _fn: Optional[Names] = _cached()
+class CCommand(Node):
+    __match_args__ = ("term", "coterm")
+    __slots__ = ("term", "coterm", "size", "_fn")
     # The growth guard caps a control machine by size only.
-    height: ClassVar[int] = 1
+    height = 1
 
     def __init__(self, term: CTerm, coterm: CCoTerm) -> None:
         _ccommand_term(self, term)
@@ -167,8 +155,9 @@ class CCommand:
         _ccommand_fn(self, None)
 
 
-# The slot setters of the compound nodes, which write through the slot
+# The slot setters of the control nodes, which write through the slot
 # descriptors as syntax.App and syntax.Lam do.
+_covar_name, _cstuckco_depth = CoVar.name.__set__, CStuckCo.depth.__set__
 _capp_fun, _capp_arg, _capp_size, _capp_fn = (
     getattr(CApp, name).__set__ for name in ("fun", "arg", "size", "_fn")
 )

@@ -18,14 +18,14 @@ exhaustion, the same outcome plain divergence gets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Union
 
 from . import control, envmachine, headsimple, projection, weakhead
 from .fuel import FuelMeter, OutOfFuel
 from .pretty import print_state, print_term
-from .syntax import IllegalStateError, Term, alpha_eq, is_pure, same_tree, term_metrics
+from .syntax import IllegalStateError, Node, Term, alpha_eq, is_pure, same_tree, term_metrics
 
 __all__ = [
     "Normal",
@@ -67,22 +67,22 @@ MAX_STATE_DEPTH = 1_200
 MAX_TOTAL_WORK = 500_000
 
 
-@dataclass(frozen=True)
-class Normal:
+class Normal(Node):
+    __slots__ = __match_args__ = ("result", "steps", "betas")
     result: Term
     steps: int
     betas: int
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
-    last_state: str
-    betas: int
-    reason: str = "beta budget"
+class FuelExhausted(Node):
+    __slots__ = __match_args__ = ("last_state", "betas", "reason")
+
+    def __init__(self, last_state: str, betas: int, reason: str = "beta budget") -> None:
+        super().__init__(last_state, betas, reason)
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(Node):
+    __slots__ = __match_args__ = ("reason", "last_state")
     reason: str
     last_state: str
 
@@ -90,18 +90,22 @@ class Stuck:
 Outcome = Union[Normal, FuelExhausted, Stuck]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Node):
+    __slots__ = __match_args__ = ("step", "phase", "rule", "state")
     step: int
     phase: str  # "load" | "reduce" | "readback"
     rule: str
     state: str
 
 
-@dataclass
-class Trace:
-    engine: str
-    events: list[TraceEvent] = field(default_factory=list)
+class Trace(Node):
+    """The events of one run.  The record is immutable; its list of events
+    is not, and `add` appends to it."""
+
+    __slots__ = __match_args__ = ("engine", "events")
+
+    def __init__(self, engine: str, events: Optional[list[TraceEvent]] = None) -> None:
+        super().__init__(engine, [] if events is None else events)
 
     def add(self, phase: str, rule: str, state: str) -> None:
         self.events.append(TraceEvent(len(self.events), phase, rule, state))
@@ -158,7 +162,9 @@ _term_readback = _machine_readback(_done, print_term)
 class Engine:
     """One registry row: exactly one of `step` and `bigstep`, plus whichever
     of load, halt, readback, render and metrics differ from the defaults
-    (a big-step row needs none).  Untraced, `readback` gets emit=None."""
+    (a big-step row needs none).  Untraced, `readback` gets emit=None.
+    Unlike the other records it is a dataclass, because bench/layers.py
+    and the tests derive rows from it with `dataclasses.replace`."""
 
     name: str
     strategy: str  # "weak-head" | "head" | "control"
@@ -535,15 +541,15 @@ def evaluate(
     return Normal(result, steps, betas), tr
 
 
-@dataclass(frozen=True)
-class EngineResult:
+class EngineResult(Node):
+    __slots__ = __match_args__ = ("engine", "strategy", "outcome")
     engine: str
     strategy: str
     outcome: Outcome
 
 
-@dataclass
-class CompareReport:
+class CompareReport(Node):
+    __slots__ = __match_args__ = ("fuel", "results", "group_agreement", "cross_strategy_difference")
     fuel: int
     results: list[EngineResult]
     group_agreement: dict[str, bool]

@@ -24,10 +24,9 @@ once per link.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
-from .syntax import App, Lam, Proj, Term, Var, all_names, fresh, split_stack, subst
+from .syntax import App, Lam, Node, Proj, Term, Var, all_names, fresh, split_stack, subst
 from .weakhead import TOP, PCommand, PPush, PStuck, PCoTerm
 
 __all__ = [
@@ -50,14 +49,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Closure:
-    term: Term
-    env: "Env"
-    # (hops, end): a command focused on this closure makes `hops` lookups
-    # and then focuses `end`, a non-variable or an unbound variable.  Filled
-    # by `_chain_of` for bound variables only; outside ==, hash and repr.
-    _chain: Optional[tuple[int, "Closure"]] = field(init=False, compare=False, repr=False)
+class Closure(Node):
+    __match_args__ = ("term", "env")
+    # _chain is (hops, end): a command focused on this closure makes `hops`
+    # lookups and then focuses `end`, a non-variable or an unbound variable.
+    # Filled by `_chain_of` for bound variables only; outside ==, hash and
+    # repr.
+    __slots__ = ("term", "env", "_chain")
 
     def __init__(self, term: Term, env: "Env") -> None:
         _closure_term(self, term)
@@ -65,11 +63,8 @@ class Closure:
         _closure_chain(self, None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Binding:
-    name: str
-    value: Closure
-    rest: "Env"
+class Binding(Node):
+    __slots__ = __match_args__ = ("name", "value", "rest")
 
     def __init__(self, name: str, value: Closure, rest: "Env") -> None:
         _binding_name(self, name)
@@ -89,10 +84,8 @@ def env_lookup(env: Env, name: str) -> Optional[Closure]:
     return None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class EPush:
-    arg: Closure
-    rest: "ECoTerm"
+class EPush(Node):
+    __slots__ = __match_args__ = ("arg", "rest")
 
     def __init__(self, arg: Closure, rest: "ECoTerm") -> None:
         _epush_arg(self, arg)
@@ -102,18 +95,14 @@ class EPush:
 ECoTerm = Union[EPush, PStuck]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ECommand:
-    term: Term
-    env: Env
-    coterm: ECoTerm
+class ECommand(Node):
+    __slots__ = __match_args__ = ("term", "env", "coterm")
     # Every state counts as one node, so only the growth guard's work cap
     # stops a diverging run, at engines.MAX_TOTAL_WORK transitions (55 and
     # 57 corpus runs of env-krivine and env-head end so); an untraced run
     # takes each lookup chain in one jump (env_lookups), so those runs cost
     # about their betas.  A shared measure is item 7 of ROADMAP.md.
-    size: ClassVar[int] = 1
-    height: ClassVar[int] = 1
+    size = height = 1
 
     def __init__(self, term: Term, env: Env, coterm: ECoTerm) -> None:
         _ecommand_term(self, term)
@@ -121,10 +110,10 @@ class ECommand:
         _ecommand_coterm(self, coterm)
 
 
-# The machines build one or more of these on every transition.  The
-# hand-written __init__ methods above write through the slot descriptors,
-# which is cheaper than the object.__setattr__ calls of a generated frozen
-# __init__ (the same idiom as syntax.App and syntax.Lam).
+# The machines build one or more of these on every transition.  A Node
+# refuses attribute assignment, so the __init__ methods above write through
+# the slot descriptors, which is also cheaper than object.__setattr__ (the
+# same idiom as syntax.App and syntax.Lam).
 _closure_term, _closure_env, _closure_chain = (
     getattr(Closure, name).__set__ for name in ("term", "env", "_chain")
 )

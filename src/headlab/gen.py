@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
-from .syntax import App, Lam, Term, Var, canonical_binder
+from .syntax import App, Lam, Node, Term, Var, canonical_binder
 
 __all__ = ["GenConfig", "gen_term", "gen_terms"]
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    max_size: int = 30
-    seed: int = 0
+class GenConfig(Node):
+    __slots__ = __match_args__ = ("max_size", "seed")
+
+    def __init__(self, max_size: int = 30, seed: int = 0) -> None:
+        super().__init__(max_size, seed)
 
 
 def gen_term(cfg: GenConfig) -> Term:

@@ -13,11 +13,10 @@ counted by the shared meter (`FuelMeter.watch`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .fuel import FuelMeter
-from .syntax import App, Lam, Term, Var, strip_binders, subst, term_metrics
+from .syntax import App, Lam, Node, Term, Var, strip_binders, subst, term_metrics
 from .weakhead import EvalContext, PCommand, PPush, bigstep_wh, decompose_wh, plug
 
 __all__ = [
@@ -34,10 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class HTopDecomp:
+class HTopDecomp(Node):
     """A term split as binder prefix, argument spine, and focus."""
 
+    __slots__ = __match_args__ = ("binders", "context", "focus")
     binders: tuple[str, ...]
     context: EvalContext
     focus: Term
@@ -75,14 +74,19 @@ def step_head_os(t: Term) -> Optional[Term]:
     return result
 
 
-@dataclass(frozen=True, slots=True)
-class HStuck:
+class HStuck(Node):
     """Binders the machine has descended under, most recent first.  It
     plugs back to that many lambdas, so each of its measures (see
     `weakhead.PPush`) is their count."""
 
-    binders: tuple[str, ...]
+    __slots__ = __match_args__ = ("binders",)
     size = frames = height = property(lambda self: len(self.binders))
+
+    def __init__(self, binders: tuple[str, ...]) -> None:
+        _hstuck_binders(self, binders)
+
+
+_hstuck_binders = HStuck.binders.__set__
 
 
 def abs_load(t: Term) -> PCommand:

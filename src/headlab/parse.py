@@ -12,18 +12,22 @@ Parsing is one loop over an explicit stack, so any nesting depth parses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 
-from .syntax import App, Lam, RESERVED_NAMES, Term, Var
+from .syntax import App, Lam, Node, RESERVED_NAMES, Term, Var
 
 __all__ = ["SourceSpan", "ParseError", "parse_term"]
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    start: int
-    end: int
+class SourceSpan(Node):
+    __slots__ = __match_args__ = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
+        _span_start(self, start)
+        _span_end(self, end)
+
+
+_span_start, _span_end = SourceSpan.start.__set__, SourceSpan.end.__set__
 
 
 class ParseError(Exception):

@@ -26,13 +26,13 @@ index form's readback on its own, because it is the paper's translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
     IllegalStateError,
     Index,
     Lam,
+    Node,
     Proj,
     Term,
     Var,
@@ -101,8 +101,7 @@ def is_legal_proj(c: PCommand) -> bool:
     return all(p.depth < stuck.depth for t in (c.term, *args) for p in atoms(t, Proj))
 
 
-@dataclass(frozen=True, slots=True)
-class TopTerm:
+class TopTerm(Node):
     """A body under `binders` anonymous top-level lambdas.
 
     The body may mention Index(i) for i < binders; Index(0) is the
@@ -110,10 +109,16 @@ class TopTerm:
     the term it stands for, the body under `binders` lambdas.
     """
 
-    binders: int
-    body: Term
+    __slots__ = __match_args__ = ("binders", "body")
     size = property(lambda self: self.body.size + self.binders)
     height = property(lambda self: self.body.height + self.binders)
+
+    def __init__(self, binders: int, body: Term) -> None:
+        _topterm_binders(self, binders)
+        _topterm_body(self, body)
+
+
+_topterm_binders, _topterm_body = TopTerm.binders.__set__, TopTerm.body.__set__
 
 
 def derived_step(t: TopTerm) -> Optional[tuple[str, TopTerm]]:

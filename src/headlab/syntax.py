@@ -7,21 +7,29 @@ projections (Proj) and top-level binder indices (Index).  Substitution,
 alpha comparison and printing treat them as inert atoms; the parser never
 builds them, so user-supplied terms stay pure.
 
-Every node carries its node count and height (`size`, `height`), set when
-it is built, so `term_metrics` reads two fields instead of walking the
-tree.  App and Lam also keep a free-variable memo that `free_vars` fills
-on first use; it is an idempotent cache, so two threads that fill it at
-once only race to write equal values.  None of these cached fields takes
-part in `==`, `hash`, `repr` or pattern matching.
+Every record in headlab, term nodes and machine states alike, is a `Node`:
+a slotted class whose `__match_args__` name its value fields.  Node
+derives `==`, `hash`, `repr` and immutability from those fields, as a
+frozen dataclass would, without a dataclass's class-building cost at
+import.
+
+Every term node carries its node count and height (`size`, `height`), set
+when it is built, so `term_metrics` reads two fields instead of walking
+the tree.  App and Lam also keep a free-variable memo that `free_vars`
+fills on first use; it is an idempotent cache, so two threads that fill
+it at once only race to write equal values.  These cached fields are
+slots outside `__match_args__`, so none of them takes part in `==`,
+`hash`, `repr` or pattern matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from enum import Enum
-from typing import ClassVar, Iterator, Optional, Union
+from typing import Iterator, Union
 
 __all__ = [
+    "Node",
     "Var",
     "App",
     "Lam",
@@ -50,25 +58,60 @@ __all__ = [
 ]
 
 
-def _cached():
-    """A field derived from the others: set by __init__, outside ==, hash and repr."""
-    return field(init=False, compare=False, repr=False)
+class Node:
+    """Base of headlab's immutable records.
+
+    A subclass declares `__slots__`, every field it stores (cached ones
+    included), and `__match_args__`, its value fields: those alone take
+    part in `==`, `hash`, `repr` and pattern matching, as the fields of a
+    frozen dataclass do.  Assignment and deletion raise
+    FrozenInstanceError, so a constructor writes its fields through the
+    slot descriptors (`Cls.field.__set__`).  Records built on every
+    machine step have such an `__init__`; the generic one below, which
+    takes the value fields in order, is for records built once a run.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def __init__(self, *values) -> None:
+        fields = self.__match_args__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} values, not {len(values)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__match_args__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, f) for f in self.__match_args__]))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    size: ClassVar[int] = 1
-    height: ClassVar[int] = 1
+class Var(Node):
+    __slots__ = __match_args__ = ("name",)
+    size = height = 1
+
+    def __init__(self, name: str) -> None:
+        _var_name(self, name)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class App:
-    fun: "Term"
-    arg: "Term"
-    size: int = _cached()
-    height: int = _cached()
-    _fv: Optional[frozenset[str]] = _cached()
+class App(Node):
+    __match_args__ = ("fun", "arg")
+    __slots__ = ("fun", "arg", "size", "height", "_fv")
 
     def __init__(self, fun: "Term", arg: "Term") -> None:
         _app_fun(self, fun)
@@ -79,13 +122,9 @@ class App:
         _app_fv(self, None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Lam:
-    binder: str
-    body: "Term"
-    size: int = _cached()
-    height: int = _cached()
-    _fv: Optional[frozenset[str]] = _cached()
+class Lam(Node):
+    __match_args__ = ("binder", "body")
+    __slots__ = ("binder", "body", "size", "height", "_fv")
 
     def __init__(self, binder: str, body: "Term") -> None:
         _lam_binder(self, binder)
@@ -95,41 +134,44 @@ class Lam:
         _lam_fv(self, None)
 
 
-# The slot setters of App and Lam.  Frozen dataclasses refuse attribute
-# assignment; the __init__ methods above write through the slot
-# descriptors instead, which is also cheaper than object.__setattr__.
-_app_fun, _app_arg, _app_size, _app_height, _app_fv = (
-    getattr(App, name).__set__ for name in ("fun", "arg", "size", "height", "_fv")
-)
-_lam_binder, _lam_body, _lam_size, _lam_height, _lam_fv = (
-    getattr(Lam, name).__set__ for name in ("binder", "body", "size", "height", "_fv")
-)
-
-
-@dataclass(frozen=True, slots=True)
-class Proj:
+class Proj(Node):
     """The argument sitting `depth` frames above the top of the call stack.
 
     Engine-internal: stands for projecting the head argument out of the
     stuck co-term obtained by dropping `depth` frames from the top level.
     """
 
-    depth: int
-    size: ClassVar[int] = 1
-    height: ClassVar[int] = 1
+    __slots__ = __match_args__ = ("depth",)
+    size = height = 1
+
+    def __init__(self, depth: int) -> None:
+        _proj_depth(self, depth)
 
 
-@dataclass(frozen=True, slots=True)
-class Index:
+class Index(Node):
     """Positional reference to an anonymous top-level binder.
 
     Index(0) names the outermost absorbed binder; under a prefix of n
     anonymous binders the innermost one is Index(n - 1).
     """
 
-    value: int
-    size: ClassVar[int] = 1
-    height: ClassVar[int] = 1
+    __slots__ = __match_args__ = ("value",)
+    size = height = 1
+
+    def __init__(self, value: int) -> None:
+        _index_value(self, value)
+
+
+# The slot setters of the term nodes.  A Node refuses attribute
+# assignment; the __init__ methods above write through the slot
+# descriptors instead, which is also cheaper than object.__setattr__.
+_var_name, _proj_depth, _index_value = Var.name.__set__, Proj.depth.__set__, Index.value.__set__
+_app_fun, _app_arg, _app_size, _app_height, _app_fv = (
+    getattr(App, name).__set__ for name in ("fun", "arg", "size", "height", "_fv")
+)
+_lam_binder, _lam_body, _lam_size, _lam_height, _lam_fv = (
+    getattr(Lam, name).__set__ for name in ("binder", "body", "size", "height", "_fv")
+)
 
 
 Term = Union[Var, App, Lam, Proj, Index]
@@ -177,8 +219,8 @@ def free_vars(t: Term) -> frozenset[str]:
 
 def nodes(tree) -> Iterator:
     """Every node of a term or of a machine state, by a loop over an
-    explicit stack: App and Lam directly, any other dataclass node through
-    the fields its pattern matches (`__match_args__`) that hold nodes."""
+    explicit stack: App and Lam directly, any other Node through the
+    fields its pattern matches (`__match_args__`) that hold nodes."""
     todo = [tree]
     while todo:
         node = todo.pop()
@@ -197,7 +239,7 @@ def nodes(tree) -> Iterator:
 
 def same_tree(a, b) -> bool:
     """Structural equality of two terms or machine states, as a loop over
-    an explicit stack of pairs: a dataclass node compares the fields its
+    an explicit stack of pairs: a Node compares the fields its
     pattern matches (`__match_args__`), any other value compares with ==,
     and a shared subtree is equal by `is`.  It never recurses, so it
     compares trees of any depth, which == does not."""

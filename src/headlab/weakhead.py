@@ -13,19 +13,10 @@ which drops frames off `TOP`) and of head-abs (whose call stack ends in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .fuel import FuelMeter
-from .syntax import (
-    App,
-    Lam,
-    Term,
-    Var,
-    _cached,
-    subst,
-    term_metrics,
-)
+from .syntax import App, Lam, Node, Term, Var, subst, term_metrics
 
 __all__ = [
     "EvalContext",
@@ -84,28 +75,26 @@ def step_wh_os(t: Term) -> Optional[Term]:
     return plug(ctx, subst(lam.body, lam.binder, redex.arg))
 
 
-@dataclass(frozen=True, slots=True)
-class PStuck:
+class PStuck(Node):
     """A stuck co-term: the top level with `depth` frames dropped.  It
     plugs back to `depth` lambdas, so each of its measures is `depth`."""
 
-    depth: int
+    __slots__ = __match_args__ = ("depth",)
     size = frames = height = property(lambda self: self.depth)
 
+    def __init__(self, depth: int) -> None:
+        _pstuck_depth(self, depth)
 
-@dataclass(frozen=True, slots=True, init=False)
-class PPush:
+
+class PPush(Node):
     """An argument on the call stack.  A co-term measures the term it plugs
     around an empty hole: its `size`, the `frames` (pushes and binders) on
     the path to the hole, and its `height`.  A command adds its focus, so
     the growth guard reads the measures of the term a state plugs back to
     in O(1)."""
 
-    arg: Term
-    rest: "PCoTerm"
-    size: int = _cached()
-    frames: int = _cached()
-    height: int = _cached()
+    __match_args__ = ("arg", "rest")
+    __slots__ = ("arg", "rest", "size", "frames", "height")
 
     def __init__(self, arg: Term, rest: "PCoTerm") -> None:
         _ppush_arg(self, arg)
@@ -117,22 +106,28 @@ class PPush:
         _ppush_height(self, arg_height if arg_height > rest_height else rest_height)
 
 
-# The slot setters of PPush, as for syntax.App and syntax.Lam.
+PCoTerm = Union[PStuck, PPush]
+
+
+class PCommand(Node):
+    __slots__ = __match_args__ = ("term", "coterm")
+    size = property(lambda self: self.term.size + self.coterm.size)
+    height = property(lambda self: max(self.term.height + self.coterm.frames, self.coterm.height))
+
+    def __init__(self, term: Term, coterm: PCoTerm) -> None:
+        _pcommand_term(self, term)
+        _pcommand_coterm(self, coterm)
+
+
+# The slot setters of the machine states, as for syntax.App and syntax.Lam.
+# A PCommand is built on every transition of the machines that share it.
+_pstuck_depth = PStuck.depth.__set__
 _ppush_arg, _ppush_rest, _ppush_size, _ppush_frames, _ppush_height = (
     getattr(PPush, name).__set__ for name in ("arg", "rest", "size", "frames", "height")
 )
+_pcommand_term, _pcommand_coterm = PCommand.term.__set__, PCommand.coterm.__set__
 
-PCoTerm = Union[PStuck, PPush]
 TOP = PStuck(0)
-
-
-@dataclass(frozen=True, slots=True)
-class PCommand:
-    term: Term
-    coterm: PCoTerm
-
-    size = property(lambda self: self.term.size + self.coterm.size)
-    height = property(lambda self: max(self.term.height + self.coterm.frames, self.coterm.height))
 
 
 def krivine_load(t: Term) -> PCommand:

@@ -307,7 +307,7 @@ class TestStateValues:
         assert filled == fresh and hash(filled) == hash(fresh) == hash((Var("x0"), env))
         assert repr(filled) == repr(fresh) == f"Closure(term=Var(name='x0'), env={env!r})"
         assert Closure.__match_args__ == ("term", "env")
-        assert [f.name for f in dataclasses.fields(Closure) if f.compare] == ["term", "env"]
+        assert [name for name in Closure.__slots__ if name not in Closure.__match_args__] == ["_chain"]
         for name in ("term", "env", "_chain"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(filled, name, None)

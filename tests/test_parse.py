@@ -93,7 +93,7 @@ class TestParse:
 class TestDeepInput:
     """Any nesting depth parses: the parser keeps its open groups in a list,
     not on the call stack.  The shapes are checked with loops, because
-    dataclass `==` recurses."""
+    node `==` recurses."""
 
     DEPTH = 100_000
 

@@ -1,17 +1,39 @@
 """Core term operations against an independent nameless-term oracle."""
 
+import dataclasses
+import importlib
+import pkgutil
 import random
 import sys
 
 import pytest
 
+import headlab
 from headlab import engines, envmachine, headsimple, projection, syntax, weakhead
-from headlab.engines import HEAD_ENGINE_NAMES, WH_ENGINE_NAMES, evaluate
-from headlab.parse import parse_term
+from headlab.control import CApp, Case, CCommand, CoVar, CPush, CStuckCo, Mu
+from headlab.engines import (
+    HEAD_ENGINE_NAMES,
+    WH_ENGINE_NAMES,
+    CompareReport,
+    Engine,
+    EngineResult,
+    FuelExhausted,
+    Normal,
+    Stuck,
+    Trace,
+    TraceEvent,
+    evaluate,
+)
+from headlab.envmachine import Binding, Closure, ECommand, EPush
+from headlab.gen import GenConfig
+from headlab.headsimple import HStuck, HTopDecomp
+from headlab.parse import SourceSpan, parse_term
+from headlab.projection import TopTerm
 from headlab.syntax import (
     App,
     Index,
     Lam,
+    Node,
     NormalFormClass,
     Proj,
     Var,
@@ -24,6 +46,7 @@ from headlab.syntax import (
     subst,
     term_metrics,
 )
+from headlab.weakhead import PCommand, PPush, PStuck
 from helpers import db_free_names, db_subst, gen_top_term, peel, ref_measures, to_db
 
 
@@ -381,3 +404,106 @@ class TestAtoms:
                 replaced = syntax.replace_atom(top.body, atom, "q")
                 assert syntax.atoms(replaced, Index) == frozenset(found) - {atom}
                 assert replaced.size == top.body.size
+
+
+def _headlab_classes():
+    """Every class headlab's modules define, in module order."""
+    modules = sorted(m.name for m in pkgutil.iter_modules(headlab.__path__) if m.name != "__main__")
+    return [
+        obj
+        for module in map(importlib.import_module, (f"headlab.{name}" for name in modules))
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    ]
+
+
+NODE_CLASSES = [c for c in _headlab_classes() if issubclass(c, Node) and c is not Node]
+
+# One set of value fields for every Node subclass, in __match_args__ order.
+NODE_SAMPLES = {
+    Var: ("x",),
+    App: (Var("f"), Lam("y", Var("y"))),
+    Lam: ("x", App(Var("x"), Proj(0))),
+    Proj: (1,),
+    Index: (2,),
+    PStuck: (3,),
+    PPush: (Var("y"), PStuck(1)),
+    PCommand: (Var("x"), PPush(Var("y"), PStuck(0))),
+    HTopDecomp: (("x",), (Var("y"),), Var("x")),
+    HStuck: (("x", "y"),),
+    TopTerm: (1, App(Index(0), Var("z"))),
+    Closure: (Var("x"), None),
+    Binding: ("x", Closure(Var("y"), None), None),
+    EPush: (Closure(Proj(0), None), PStuck(1)),
+    ECommand: (Var("x"), Binding("x", Closure(Var("y"), None), None), PStuck(0)),
+    CApp: (Var("f"), Proj(0)),
+    Mu: ("k", CCommand(Var("x"), CoVar("k"))),
+    Case: ("x", "k", CCommand(Var("x"), CoVar("k"))),
+    CoVar: ("k",),
+    CPush: (Var("x"), CStuckCo(0)),
+    CStuckCo: (1,),
+    CCommand: (CApp(Var("f"), Var("x")), CoVar("k")),
+    SourceSpan: (3, 5),
+    GenConfig: (12, 7),
+    Normal: (Var("x"), 2, 1),
+    FuelExhausted: ("<abandoned>", 5, "work budget"),
+    Stuck: ("no transition applies", "x"),
+    TraceEvent: (0, "load", "load", "x"),
+    Trace: ("krivine", [TraceEvent(0, "load", "load", "x")]),
+    EngineResult: ("krivine", "weak-head", Normal(Var("x"), 2, 1)),
+    CompareReport: (200, [EngineResult("krivine", "weak-head", Normal(Var("x"), 2, 1))], {"weak-head": True}, False),
+}
+
+
+class TestNode:
+    """Every record in headlab is a Node: `==`, `hash` and `repr` read its
+    `__match_args__` and nothing else, as a frozen dataclass's read its
+    compared fields, and no field can be assigned or deleted."""
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+    def test_contract(self, cls):
+        values = NODE_SAMPLES[cls]
+        fields = cls.__match_args__
+        node, twin = cls(*values), cls(*values)
+        assert tuple(getattr(node, f) for f in fields) == values
+        assert not hasattr(node, "__dict__")
+        # Cached slots lie outside the value fields: writing junk into them
+        # leaves ==, hash and repr alone.
+        for name in cls.__slots__:
+            if name not in fields:
+                getattr(cls, name).__set__(node, object())
+        assert node == twin and not node != twin
+        try:
+            expected = hash(values)
+        except TypeError:  # a record that holds a list or a dict
+            with pytest.raises(TypeError):
+                hash(node)
+        else:
+            assert hash(node) == hash(twin) == expected
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+        assert repr(node) == f"{cls.__name__}({shown})"
+        # Each value field takes part in ==.
+        for f in fields:
+            changed = cls(*values)
+            getattr(cls, f).__set__(changed, object())
+            assert changed != twin
+        # Another class with the same fields is never equal.
+        imposter = type("Imposter", (Node,), {"__slots__": fields, "__match_args__": fields})(*values)
+        assert node.__eq__(imposter) is NotImplemented and node != imposter
+        for name in (*cls.__slots__, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+
+    def test_every_node_has_a_sample(self):
+        assert set(NODE_CLASSES) == set(NODE_SAMPLES)
+
+    def test_engine_is_the_only_dataclass(self):
+        # bench/layers.py and the tests derive Engine rows with
+        # dataclasses.replace; every other record is a Node.
+        assert [c for c in _headlab_classes() if dataclasses.is_dataclass(c)] == [Engine]
+
+    def test_generic_constructor_counts_values(self):
+        with pytest.raises(TypeError):
+            Normal(Var("x"), 2)

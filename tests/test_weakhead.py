@@ -205,7 +205,8 @@ class TestStateValues:
         )
         assert repr(state) == f"PCommand(term=Var(name='x'), coterm={stack!r})"
         assert (PPush.__match_args__, PCommand.__match_args__) == (("arg", "rest"), ("term", "coterm"))
-        assert [f.name for f in dataclasses.fields(PPush) if f.compare] == ["arg", "rest"]
+        # The cached measures are slots outside the value fields.
+        assert [name for name in PPush.__slots__ if name not in PPush.__match_args__] == ["size", "frames", "height"]
         assert hash(stack) == hash((Var("y"), stack.rest))
         assert hash(state) == hash((Var("x"), stack))
         assert state != PCommand(Var("x"), PPush(Var("y"), TOP))
