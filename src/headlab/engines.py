@@ -10,8 +10,9 @@ holds a projection or an index.
 
 Fuel is counted in beta contractions for every engine, because that is
 the one cost unit all of them share; the non-beta transitions between
-two contractions are always finitely bounded.  A coarse work guard additionally abandons runs whose
-states or cumulative effort explode; any run it cuts short reports fuel
+two contractions are always finitely bounded.  Every run counts on one
+`FuelMeter`, whose work cap additionally abandons runs whose states or
+cumulative effort explode; any run a guard cuts short reports fuel
 exhaustion, the same outcome plain divergence gets.
 """
 
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Optional, Union
 from . import control, envmachine, headsimple, projection, weakhead
 from .fuel import FuelMeter, OutOfFuel
 from .pretty import print_state, print_term
-from .syntax import IllegalStateError, Node, Term, alpha_eq, is_pure, same_tree, term_metrics
+from .syntax import IllegalStateError, Node, Term, alpha_eq, is_pure, term_metrics
 
 __all__ = [
     "Normal",
@@ -55,13 +56,14 @@ DEFAULT_FUEL = 100000
 
 # Growth guards.  After every beta the driver asks the engine for the size
 # and depth of its state (Engine.metrics) and ends the run when either
-# passes its cap; work adds one per transition plus that size per beta and
-# ends the run past MAX_TOTAL_WORK.  Both turn runaway term growth and
-# quadratic lookup storms into FuelExhausted("work budget") instead of an
-# out-of-memory or a very long sit.  Desk-scale runs that reach a normal
-# form stay far below all three.  Every state carries its own `size` and
-# `height`, read by term_metrics in O(1): see the state classes and the
-# "Fuel and guards" section of README.md for what each engine measures.
+# passes its cap; work, one per transition plus that size per beta, is
+# charged to the run's FuelMeter, which ends the run past MAX_TOTAL_WORK.
+# Both turn runaway term growth and quadratic lookup storms into
+# FuelExhausted("work budget") instead of an out-of-memory or a very long
+# sit.  Desk-scale runs that reach a normal form stay far below all three.
+# Every state carries its own `size` and `height`, read by term_metrics in
+# O(1): see the state classes and the "Fuel and guards" section of
+# README.md for what each engine measures.
 MAX_STATE_NODES = 60_000
 MAX_STATE_DEPTH = 1_200
 MAX_TOTAL_WORK = 500_000
@@ -178,9 +180,9 @@ class Engine:
     beta_rules: frozenset[str] = frozenset(("beta",))
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
     # chain(state, limit) -> (n, state'): n <= limit non-beta transitions in
-    # one jump (envmachine.env_lookups); untraced runs only.  A stepping row
-    # without `chain` gets the cycle jump of `evaluate` instead, and a
-    # big-step row the one its loops make through `FuelMeter.watch`.
+    # one jump (envmachine.env_lookups); untraced runs only.  An untraced
+    # stepping row without it, and every big-step row, gets the cycle jump
+    # of `FuelMeter.watch` instead.
     chain: Optional[Callable[[object, int], tuple[int, object]]] = None
 
 
@@ -443,14 +445,11 @@ def evaluate(
     `last_state` of a stopped run is rendered.  The guards are read from
     MAX_STATE_NODES, MAX_STATE_DEPTH and MAX_TOTAL_WORK at each call.
 
-    An untraced run of a stepping row without `chain` watches for a state
-    that repeats after a beta (Brent's cycle detection, with one marked
-    state).  On a repeat the run is periodic, and it jumps as many whole
-    periods as fit before the beta budget or the work cap, then steps on
-    to the end.  The state after the jump equals the state before it, so
-    the outcome is the one stepping gives.  The evaluator loops of a
-    big-step row make the same jump on their own terms, traced or not,
-    since they get no log here (`FuelMeter.watch`).
+    Every run counts on one FuelMeter, and any guard stop becomes
+    FuelExhausted.  An untraced run of a stepping row without `chain`, and
+    each big-step loop, lets the meter skip whole periods of a run whose
+    state repeats (`FuelMeter.watch`); the state after the skip equals the
+    state before it, so the outcome is the one stepping gives.
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
@@ -459,72 +458,51 @@ def evaluate(
     if tr is not None:
         tr.add("load", "load", eng.render(state))
 
-    if eng.bigstep is not None:
-        meter = FuelMeter(budget, MAX_TOTAL_WORK)
-        try:
+    meter = FuelMeter(budget, MAX_TOTAL_WORK)
+    try:
+        if eng.bigstep is not None:
             state = eng.bigstep(state, meter, None)
-        except OutOfFuel as exc:
-            reason = "beta budget" if exc.kind == "beta" else "work budget"
-            return FuelExhausted("<abandoned>", min(meter.betas, budget), reason), tr
-        steps = betas = meter.betas
-    else:
-        betas = 0
-        steps = 0
-        # Work is one per transition plus the state size at every beta, so
-        # the work cap is met when steps pass what the betas have left of it.
-        steps_left = MAX_TOTAL_WORK
-        step_fn = eng.step
-        beta_rules = eng.beta_rules
-        # A traced run steps every transition, since each is an event.
-        chain = eng.chain if tr is None else None
-        # The cycle jump's mark is taken at the first beta and moves to the
-        # current state when the betas since it reach `power`, which then
-        # doubles; the mark keeps the counters it was taken at.
-        detect = tr is None and eng.chain is None
-        mark = mark_size = mark_height = None
-        mark_betas = mark_steps = mark_left = 0
-        power = 1
-        while True:
-            if chain is not None:
-                # The limit is the transition that would pass the work cap.
-                n, state = chain(state, steps_left - steps + 1)
-                steps += n
-                if steps > steps_left:
-                    return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
-            nxt = step_fn(state)
-            if nxt is None:
-                break
-            rule, state = nxt
-            steps += 1
-            if tr is not None:
-                tr.add("reduce", rule, eng.render(state))
-            if rule in beta_rules:
-                betas += 1
-                if betas > budget:
-                    return FuelExhausted(_render_capped(eng, state), budget, "beta budget"), tr
-                size, depth = eng.metrics(state)
-                steps_left -= size
-                if size > MAX_STATE_NODES or depth > MAX_STATE_DEPTH:
-                    return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
-                # A repeat counts only where the work check below passes.
-                if detect and steps <= steps_left:
-                    if size == mark_size and depth == mark_height and same_tree(state, mark):
-                        # Each period adds the same betas, steps and work.
-                        # Steps minus steps_left never falls, so a jump
-                        # whose last state is under both caps skips no
-                        # transition that passes one.
-                        period, d_steps, d_work = betas - mark_betas, steps - mark_steps, mark_left - steps_left
-                        k = min((budget - betas) // period, (steps_left - steps) // (d_steps + d_work))
-                        betas += k * period
-                        steps += k * d_steps
-                        steps_left -= k * d_work
-                        # Less than a period is left, so the run ends soon.
-                        detect = False
-                    elif betas - mark_betas == power:
-                        mark, mark_size, mark_height, power = state, size, depth, 2 * power
-                        mark_betas, mark_steps, mark_left = betas, steps, steps_left
-            if steps > steps_left:
-                return FuelExhausted(_render_capped(eng, state), betas, "work budget"), tr
+            steps = meter.betas
+        else:
+            # A contraction charges its size and the transitions since the
+            # last one, so the work cap is met when `steps` passes `cap`.
+            steps = charged = 0
+            cap = meter.work_limit
+            step_fn = eng.step
+            beta_rules = eng.beta_rules
+            # A traced run steps every transition, since each is an event.
+            chain = eng.chain if tr is None else None
+            detect = tr is None and eng.chain is None
+            mark = None
+            while True:
+                if chain is not None:
+                    # The limit is the transition that would pass the work cap.
+                    n, state = chain(state, cap - steps + 1)
+                    steps += n
+                    if steps > cap:
+                        raise OutOfFuel("work")
+                nxt = step_fn(state)
+                if nxt is None:
+                    break
+                rule, state = nxt
+                steps += 1
+                if tr is not None:
+                    tr.add("reduce", rule, eng.render(state))
+                if rule in beta_rules:
+                    size, depth = eng.metrics(state)
+                    meter.contract(steps - charged + size)
+                    if size > MAX_STATE_NODES or depth > MAX_STATE_DEPTH:
+                        raise OutOfFuel("work")
+                    if detect:
+                        mark = meter.watch(state, mark)
+                    charged = steps
+                    cap = steps + meter.work_limit - meter.work
+                elif steps > cap:
+                    raise OutOfFuel("work")
+    except OutOfFuel as exc:
+        last_state = "<abandoned>" if eng.bigstep is not None else _render_capped(eng, state)
+        reason = "beta budget" if exc.kind == "beta" else "work budget"
+        return FuelExhausted(last_state, min(meter.betas, budget), reason), tr
 
     # "open" halts (an environment machine meeting an unbound variable)
     # have no transition but still read back to a neutral term.
@@ -535,10 +513,10 @@ def evaluate(
     try:
         result = eng.readback(state, emit, MAX_STATE_NODES)
     except envmachine.ForceBudgetExceeded:
-        return FuelExhausted("<result too large to materialize>", betas, "work budget"), tr
+        return FuelExhausted("<result too large to materialize>", meter.betas, "work budget"), tr
     except (IllegalStateError, ValueError) as exc:
         return Stuck(f"readback failed: {exc}", _render_capped(eng, state)), tr
-    return Normal(result, steps, betas), tr
+    return Normal(result, steps, meter.betas), tr
 
 
 class EngineResult(Node):

@@ -1,8 +1,9 @@
-"""Evaluation budgets shared by the big-step evaluators and the harness."""
+"""The one fuel meter every engine's reduce phase counts on: betas, work,
+and the cycle jump of a run whose state repeats."""
 
 from __future__ import annotations
 
-from .syntax import Term, same_tree
+from .syntax import same_tree
 
 __all__ = ["OutOfFuel", "FuelMeter"]
 
@@ -14,47 +15,43 @@ class OutOfFuel(Exception):
 
 
 class FuelMeter:
-    """Counts beta contractions against a budget, plus an optional coarse
-    work allowance (nodes touched) that stops runaway term growth."""
+    """Counts beta contractions against a budget, and the work charged
+    with them (nodes touched) against a cap that stops runaway growth."""
 
-    def __init__(self, betas: int, work: int | None = None):
+    def __init__(self, betas: int, work: int):
         self.limit = betas
         self.betas = 0
         self.work_limit = work
         self.work = 0
 
-    def spend(self) -> None:
+    def contract(self, nodes: int) -> None:
+        """Count one contraction and the work it brings: the beta budget is
+        checked first, so a contraction that passes both reports "beta"."""
         self.betas += 1
         if self.betas > self.limit:
             raise OutOfFuel("beta")
-
-    def charge(self, nodes: int) -> None:
-        if self.work_limit is None:
-            return
         self.work += nodes
         if self.work > self.work_limit:
             raise OutOfFuel("work")
 
-    def watch(self, t: Term, mark: tuple | None) -> tuple:
-        """Brent's cycle detection for one run of an evaluator loop: called
-        after each contraction is charged, with the term `t` the loop goes
-        on with and what this returned last time (None at the first).
+    def watch(self, t, mark: tuple | None) -> tuple:
+        """Brent's cycle detection for one run of a step or evaluator loop:
+        called after each contraction with the state `t` the loop goes on
+        with and what this returned last time (None at the first).
 
-        The mark (term, betas, work, power) moves to `t` once the betas
+        The mark (state, betas, work, power) moves to `t` once the betas
         since it reach `power`, which then doubles.  When `t` equals the
-        marked term the loop is periodic, since from `t` on its run, nested
-        calls included, depends on `t` alone; so the meter counts as many
-        whole periods of betas and work as fit under both limits.  Both
-        counts only grow, so the run stops where evaluating them would.
+        marked state the loop is periodic, since from `t` on its run,
+        nested calls included, depends on `t` alone; so the meter counts as
+        many whole periods of betas and work as fit under both limits.
+        Both counts only grow, so the run stops where stepping on would.
         """
         if mark is None:
             return t, self.betas, self.work, 1
         m, betas, work, power = mark
         if t.size == m.size and t.height == m.height and same_tree(t, m):
             period, d_work = self.betas - betas, self.work - work
-            k = (self.limit - self.betas) // period
-            if self.work_limit is not None:
-                k = min(k, (self.work_limit - self.work) // d_work)
+            k = min((self.limit - self.betas) // period, (self.work_limit - self.work) // d_work)
             self.betas += k * period
             self.work += k * d_work
             # Less than a period is left, so a later repeat adds nothing.

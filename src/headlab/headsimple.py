@@ -154,9 +154,8 @@ def bigstep_sestoft(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) 
                 if isinstance(fun_wh, Lam):
                     if log is not None:
                         log.append(App(fun_wh, arg))
-                    fuel.spend()
                     t = subst(fun_wh.body, fun_wh.binder, arg)
-                    fuel.charge(term_metrics(t)[0])
+                    fuel.contract(term_metrics(t)[0])
                     if log is None:
                         mark = fuel.watch(t, mark)
                 else:

@@ -181,9 +181,8 @@ def bigstep_wh(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) -> Te
         if isinstance(fun, Lam):
             if log is not None:
                 log.append(App(fun, t.arg))
-            fuel.spend()
             t = subst(fun.body, fun.binder, t.arg)
-            fuel.charge(term_metrics(t)[0])
+            fuel.contract(term_metrics(t)[0])
             if log is None:
                 mark = fuel.watch(t, mark)
         else:

@@ -155,6 +155,72 @@ class TestEvaluate:
                     assert isinstance(event.state, str) and event.state
 
 
+# Every contraction adds one copy of \x.x x x, so its states only grow.
+GROWER = r"(\x.x x x)(\x.x x x)"
+
+
+class TestStopPrecedence:
+    """When one contraction passes two guards at once, the beta budget is
+    reported before the work cap, and the size cap reports as the work cap
+    does, at that beta.  Both guards are set so that contraction K + 1 is
+    the first to pass them."""
+
+    K = 3
+
+    @staticmethod
+    def stopped_at(name, fuel=CORPUS_FUEL):
+        outcome = evaluate(T(GROWER), name, fuel)[0]
+        assert isinstance(outcome, FuelExhausted)
+        return outcome
+
+    def least_work_cap(self, monkeypatch, name):
+        """The least MAX_TOTAL_WORK at which a run stops after more than K
+        betas, so the work before contraction K + 1 is exactly that cap
+        and the contraction passes it.  The cap is then reset."""
+
+        def betas(cap):
+            monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
+            return self.stopped_at(name).betas
+
+        original = engines.MAX_TOTAL_WORK
+        lo, hi = 0, 1
+        while betas(hi) <= self.K:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if betas(mid) > self.K:
+                hi = mid
+            else:
+                lo = mid
+        monkeypatch.setattr(engines, "MAX_TOTAL_WORK", original)
+        return hi
+
+    @pytest.mark.parametrize("name", ["krivine", "wh-bigstep"])
+    def test_beta_budget_before_work_cap(self, monkeypatch, name):
+        monkeypatch.setattr(engines, "MAX_TOTAL_WORK", self.least_work_cap(monkeypatch, name))
+        assert self.stopped_at(name).betas == self.K + 1
+        outcome = self.stopped_at(name, fuel=self.K)
+        assert (outcome.reason, outcome.betas) == ("beta budget", self.K)
+
+    @pytest.mark.parametrize("name", ["krivine", "wh-bigstep"])
+    def test_size_cap_and_work_cap_report_that_beta(self, monkeypatch, name):
+        cap = self.least_work_cap(monkeypatch, name)
+        row = ENGINES[name]
+        if row.bigstep is None:
+            # Make the state after contraction K + 1 the first to pass the
+            # size cap.  A big-step row has no size cap.
+            state, betas = row.load(T(GROWER)), 0
+            while betas <= self.K:
+                rule, state = row.step(state)
+                betas += rule in row.beta_rules
+            monkeypatch.setattr(engines, "MAX_STATE_NODES", row.metrics(state)[0] - 1)
+            outcome = self.stopped_at(name)
+            assert (outcome.reason, outcome.betas) == ("work budget", self.K + 1)
+        monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
+        outcome = self.stopped_at(name)
+        assert (outcome.reason, outcome.betas) == ("work budget", self.K + 1)
+
+
 class TestGoldenOutcomes:
     """Every engine ends each corpus run the way it did when
     tests/golden_outcomes.json was written (by tests/make_golden_outcomes.py):
@@ -314,7 +380,7 @@ class TestCycleJump:
 
     @pytest.fixture
     def repeats(self, monkeypatch):
-        return spy_repeats(monkeypatch, engines)
+        return spy_repeats(monkeypatch, fuel)
 
     def test_covered_rows(self):
         assert CYCLE_ROWS == (
@@ -352,8 +418,8 @@ class TestCycleJump:
         applied = [form for t in guards for form in (t, App(t, Var("y")), App(t, Var("x")))]
         # Small budgets end before the first repeat or a few periods after it.
         for term in applied:
-            for fuel in range(1, 13):
-                assert evaluate(term, name, fuel)[0] == evaluate(term, name, fuel, trace=True)[0]
+            for budget in range(1, 13):
+                assert evaluate(term, name, budget)[0] == evaluate(term, name, budget, trace=True)[0]
         # A traced guard run at CORPUS_FUEL renders up to 10^5 states, so the
         # reference there is the untraced run with no repeat found: it
         # steps every transition, as a traced run does, minus the renders.
@@ -362,7 +428,7 @@ class TestCycleJump:
             repeats.clear()
             jumped.append(evaluate(term, name, CORPUS_FUEL)[0])
             assert repeats, (name, term)
-        monkeypatch.setattr(engines, "same_tree", lambda a, b: False)
+        monkeypatch.setattr(fuel, "same_tree", lambda a, b: False)
         assert jumped == [evaluate(term, name, CORPUS_FUEL)[0] for term in applied]
 
     @pytest.mark.parametrize("name", CYCLE_ROWS)
@@ -760,6 +826,16 @@ class TestCli:
         _, err = capsys.readouterr()
         assert code == 1
         assert "parse error" in err
+
+    @pytest.mark.parametrize("command", [["eval", "--engine", "krivine"], ["compare"]])
+    def test_invalid_utf8_exit_code(self, command, tmp_path, capsys):
+        src = tmp_path / "bad.lam"
+        src.write_bytes(b"\xff")
+        code = main([*command, str(src)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
     def test_unknown_engine_exit_code(self, tmp_path, capsys):
         src = tmp_path / "x.lam"

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from headlab import engines
+from headlab import engines, fuel
 from headlab.envmachine import (
     Binding,
     Closure,
@@ -180,8 +180,8 @@ class TestChainJump:
                 # A traced guard run renders all of its 500k states, so
                 # the guard terms get the traced check at TRACE_FUEL here
                 # and the full-fuel check against the stepping row below.
-                fuel = TRACE_FUEL if term in guards else CORPUS_FUEL
-                assert evaluate(applied, name, fuel)[0] == evaluate(applied, name, fuel, trace=True)[0]
+                budget = TRACE_FUEL if term in guards else CORPUS_FUEL
+                assert evaluate(applied, name, budget)[0] == evaluate(applied, name, budget, trace=True)[0]
 
     @pytest.mark.parametrize("name", ENV_ENGINES)
     def test_guard_terms_match_the_stepping_row(self, corpus120, monkeypatch, name):
@@ -192,7 +192,7 @@ class TestChainJump:
         # every beta (ECommand measures every state as (1, 1)).
         jumped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=None))
-        monkeypatch.setattr(engines, "same_tree", lambda a, b: False)
+        monkeypatch.setattr(fuel, "same_tree", lambda a, b: False)
         stepped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         assert jumped == stepped
         assert all(isinstance(o, FuelExhausted) and o.reason == "work budget" for o in stepped)

@@ -1,6 +1,7 @@
 """Plain head reduction: small-step, the binder-frame machine, and the two
 big-step evaluators with their beta-order agreement."""
 
+from headlab import engines
 from headlab.fuel import FuelMeter, OutOfFuel
 from headlab.headsimple import (
     HStuck,
@@ -160,30 +161,30 @@ class TestAbsMachine:
 
 class TestBigStep:
     def test_worked_example(self):
-        assert bigstep_h(T(r"\x.(\y.y) x"), FuelMeter(10)) == T(r"\x.x")
+        assert bigstep_h(T(r"\x.(\y.y) x"), FuelMeter(10, engines.MAX_TOTAL_WORK)) == T(r"\x.x")
 
     def test_variable(self):
-        assert bigstep_h(Var("x"), FuelMeter(10)) == Var("x")
+        assert bigstep_h(Var("x"), FuelMeter(10, engines.MAX_TOTAL_WORK)) == Var("x")
 
     def test_nested_descents(self):
-        got = bigstep_h(T(r"\a.\b.(\c.c) b"), FuelMeter(10))
+        got = bigstep_h(T(r"\a.\b.(\c.c) b"), FuelMeter(10, engines.MAX_TOTAL_WORK))
         assert got == T(r"\a.\b.b")
 
     def test_sestoft_variable(self):
-        assert bigstep_sestoft(Var("x"), FuelMeter(10)) == Var("x")
+        assert bigstep_sestoft(Var("x"), FuelMeter(10, engines.MAX_TOTAL_WORK)) == Var("x")
 
     def test_sestoft_worked_example(self):
-        assert bigstep_sestoft(T(r"\x.(\y.y) x"), FuelMeter(10)) == T(r"\x.x")
+        assert bigstep_sestoft(T(r"\x.(\y.y) x"), FuelMeter(10, engines.MAX_TOTAL_WORK)) == T(r"\x.x")
 
     def test_sestoft_beta_then_descend(self):
-        got = bigstep_sestoft(T(r"(\x.x)(\y.(\z.z) y)"), FuelMeter(10))
+        got = bigstep_sestoft(T(r"(\x.x)(\y.(\z.z) y)"), FuelMeter(10, engines.MAX_TOTAL_WORK))
         assert got == T(r"\y.y")
 
     def test_results_are_head_normal(self, corpus120):
         hnf_classes = {NormalFormClass.NEUTRAL, NormalFormClass.WHNF_AND_HNF}
         for term in corpus120:
             try:
-                result = bigstep_h(term, FuelMeter(300))
+                result = bigstep_h(term, FuelMeter(300, engines.MAX_TOTAL_WORK))
             except OutOfFuel:
                 continue
             assert classify(result) in hnf_classes
@@ -193,11 +194,11 @@ class TestHeadBigstepAgreement:
     def test_both_agree_or_both_exhaust(self, corpus300):
         for term in corpus300:
             try:
-                a = bigstep_h(term, FuelMeter(250))
+                a = bigstep_h(term, FuelMeter(250, engines.MAX_TOTAL_WORK))
             except OutOfFuel:
                 a = None
             try:
-                b = bigstep_sestoft(term, FuelMeter(250))
+                b = bigstep_sestoft(term, FuelMeter(250, engines.MAX_TOTAL_WORK))
             except OutOfFuel:
                 b = None
             if a is None or b is None:
@@ -209,12 +210,12 @@ class TestHeadBigstepAgreement:
         for term in corpus300:
             log_a, log_b = [], []
             try:
-                bigstep_h(term, FuelMeter(250), log_a)
+                bigstep_h(term, FuelMeter(250, engines.MAX_TOTAL_WORK), log_a)
                 ok_a = True
             except OutOfFuel:
                 ok_a = False
             try:
-                bigstep_sestoft(term, FuelMeter(250), log_b)
+                bigstep_sestoft(term, FuelMeter(250, engines.MAX_TOTAL_WORK), log_b)
                 ok_b = True
             except OutOfFuel:
                 ok_b = False
@@ -230,7 +231,7 @@ class TestHeadBigstepAgreement:
         for term in corpus120:
             log = []
             try:
-                bigstep_h(term, FuelMeter(200), log)
+                bigstep_h(term, FuelMeter(200, engines.MAX_TOTAL_WORK), log)
             except OutOfFuel:
                 continue
             current = term

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from headlab import engines
 from headlab.fuel import FuelMeter, OutOfFuel
 from headlab.parse import parse_term
 from headlab.syntax import (
@@ -224,21 +225,21 @@ class TestStateValues:
 
 class TestBigStep:
     def test_variable(self):
-        assert bigstep_wh(Var("x"), FuelMeter(10)) == Var("x")
+        assert bigstep_wh(Var("x"), FuelMeter(10, engines.MAX_TOTAL_WORK)) == Var("x")
 
     def test_one_beta(self):
-        assert bigstep_wh(T(r"(\x.x)(\y.y)"), FuelMeter(10)) == T(r"\y.y")
+        assert bigstep_wh(T(r"(\x.x)(\y.y)"), FuelMeter(10, engines.MAX_TOTAL_WORK)) == T(r"\y.y")
 
     def test_neutral_argument_left_alone(self):
         term = T(r"x ((\x.x) y)")
-        result = bigstep_wh(term, FuelMeter(10))
+        result = bigstep_wh(term, FuelMeter(10, engines.MAX_TOTAL_WORK))
         assert result == term
         # Cross-check against the small-step closure.
         assert run_smallstep(term, 10)[0] == term
 
     def test_fuel_exhaustion(self):
         with pytest.raises(OutOfFuel):
-            bigstep_wh(T(r"(\y.y y)(\y.y y)"), FuelMeter(25))
+            bigstep_wh(T(r"(\y.y y)(\y.y y)"), FuelMeter(25, engines.MAX_TOTAL_WORK))
 
 
 class TestEquivalences:
@@ -255,7 +256,7 @@ class TestEquivalences:
         for term in corpus300:
             machine_result, _ = run_krivine(term, 300)
             try:
-                big_result = bigstep_wh(term, FuelMeter(300))
+                big_result = bigstep_wh(term, FuelMeter(300, engines.MAX_TOTAL_WORK))
             except OutOfFuel:
                 big_result = None
             if machine_result is None or big_result is None:
@@ -268,7 +269,7 @@ class TestEquivalences:
             os_result, os_betas = run_smallstep(term, 200)
             machine_result, machine_betas = run_krivine(term, 200)
             assert os_betas == machine_betas
-            meter = FuelMeter(200)
+            meter = FuelMeter(200, engines.MAX_TOTAL_WORK)
             try:
                 bigstep_wh(term, meter)
                 big_betas = meter.betas
