@@ -23,6 +23,7 @@ from .engines import (
     compare,
     engine_names,
     evaluate,
+    get_engine,
 )
 from .gen import GenConfig, gen_terms
 from .parse import ParseError, parse_term
@@ -108,6 +109,10 @@ def _select_engines(selector: str) -> list[str]:
     if selector == "all-wh":
         return list(WH_ENGINE_NAMES)
     names = [n.strip() for n in selector.split(",") if n.strip()]
+    for i, name in enumerate(names):
+        get_engine(name)
+        if name in names[:i]:
+            raise UnknownEngineError(f"engine {name!r} is listed twice")
     if len(names) < 2:
         raise UnknownEngineError("compare needs at least two engines")
     return names

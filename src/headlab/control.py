@@ -15,18 +15,19 @@ will be resolved against.
 Substitution deserves a note: the machine rules substitute a term and a
 co-term simultaneously, and either payload may carry the other sort of
 free name into scope, so a single parallel substitution with renaming at
-both binder kinds is the only correct shape.
+both binder kinds is the only correct shape.  It is one walk over terms,
+co-terms and commands alike, dispatching on the node's class, as
+free_names is.
 
 Every node carries its node count (`size`), set when it is built, so the
 growth guard reads one field of a command instead of walking it.  The
 compound nodes (CApp, Mu, Case, CPush, CCommand) also keep a memo of their
-free names that free_names_term, free_names_coterm and free_names_command
-fill on first use; like the memo of syntax.App it is an idempotent cache.
-With it, substitution returns a subterm in which no key is free unchanged
-instead of copying it, as long as no payload has a free name (which could
-make a binder rename).  None of these fields takes part in `==`, `hash`,
-`repr` or pattern matching: as in syntax, they are slots outside each
-node's `__match_args__`.
+free names that free_names fills on first use; like the memo of
+syntax.App it is an idempotent cache.  With it, substitution returns a
+subterm in which no key is free unchanged instead of copying it, as long
+as no payload has a free name (which could make a binder rename).  None
+of these fields takes part in `==`, `hash`, `repr` or pattern matching:
+as in syntax, they are slots outside each node's `__match_args__`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ __all__ = [
     "CStuckCo",
     "CCoTerm",
     "CCommand",
-    "free_names_term",
-    "free_names_coterm",
+    "free_names",
     "subst_command",
     "control_load",
     "control_step",
@@ -175,73 +175,29 @@ _ccommand_term, _ccommand_coterm, _ccommand_size, _ccommand_fn = (
 )
 
 
-def _union(a: Names, b: Names) -> Names:
-    return a[0] | b[0], a[1] | b[1]
-
-
-def free_names_term(t: CTerm) -> Names:
-    """(free term variables, free co-variables) of a term."""
-    match t:
-        case Var(name):
-            return frozenset((name,)), frozenset()
-        case CApp(fun, arg):
-            names = t._fn
-            if names is None:
-                names = _union(free_names_term(fun), free_names_term(arg))
-                _capp_fn(t, names)
-            return names
-        case Mu(covar, body):
-            names = t._fn
-            if names is None:
-                fv, fc = free_names_command(body)
-                names = fv, fc - {covar}
-                _mu_fn(t, names)
-            return names
-        case Case(binder, cobinder, body):
-            names = t._fn
-            if names is None:
-                fv, fc = free_names_command(body)
-                names = fv - {binder}, fc - {cobinder}
-                _case_fn(t, names)
-            return names
-        case _:
-            return _NO_NAMES
-
-
-def free_names_coterm(e: CCoTerm) -> Names:
-    match e:
-        case CoVar(name):
-            return frozenset(), frozenset((name,))
-        case CPush(arg, rest):
-            names = e._fn
-            if names is None:
-                names = _union(free_names_term(arg), free_names_coterm(rest))
-                _cpush_fn(e, names)
-            return names
-        case _:
-            return _NO_NAMES
-
-
-def free_names_command(c: CCommand) -> Names:
-    names = c._fn
+def free_names(n: Union[CTerm, CCoTerm, CCommand]) -> Names:
+    """(free term variables, free co-variables) of a term, co-term or
+    command."""
+    cls = type(n)
+    if cls is Var:
+        return frozenset((n.name,)), frozenset()
+    if cls is CoVar:
+        return frozenset(), frozenset((n.name,))
+    if cls is Proj or cls is CStuckCo:
+        return _NO_NAMES
+    names = n._fn
     if names is None:
-        names = _union(free_names_term(c.term), free_names_coterm(c.coterm))
-        _ccommand_fn(c, names)
+        if cls is Mu:
+            fv, fc = free_names(n.body)
+            names = fv, fc - {n.covar}
+        elif cls is Case:
+            fv, fc = free_names(n.body)
+            names = fv - {n.binder}, fc - {n.cobinder}
+        else:
+            (fv, fc), (fv2, fc2) = (free_names(getattr(n, field)) for field in cls.__match_args__)
+            names = fv | fv2, fc | fc2
+        cls._fn.__set__(n, names)
     return names
-
-
-def _payload_names(tmap: dict[str, CTerm], cmap: dict[str, CCoTerm]):
-    avoid_v: set[str] = set()
-    avoid_c: set[str] = set()
-    for payload in tmap.values():
-        fv, fc = free_names_term(payload)
-        avoid_v |= fv
-        avoid_c |= fc
-    for copayload in cmap.values():
-        fv, fc = free_names_coterm(copayload)
-        avoid_v |= fv
-        avoid_c |= fc
-    return frozenset(avoid_v), frozenset(avoid_c)
 
 
 def subst_command(c: CCommand, tmap: dict[str, CTerm], cmap: dict[str, CCoTerm]) -> CCommand:
@@ -249,86 +205,68 @@ def subst_command(c: CCommand, tmap: dict[str, CTerm], cmap: dict[str, CCoTerm])
 
     Subterms the substitution would only copy are shared with c instead.
     """
-    avoid_v, avoid_c = _payload_names(tmap, cmap)
-    return _sub_command(c, tmap, cmap, avoid_v, avoid_c)
+    avoid_v: frozenset[str] = frozenset()
+    avoid_c: frozenset[str] = frozenset()
+    for payload in (*tmap.values(), *cmap.values()):
+        fv, fc = free_names(payload)
+        avoid_v |= fv
+        avoid_c |= fc
+    return _sub(c, tmap, cmap, avoid_v, avoid_c)
 
 
-def _untouched(names: Names, tmap, cmap, avoid_v, avoid_c) -> bool:
-    """Substituting into a subterm with these free names gives an equal
-    copy of it: no key is free in it, and no payload carries a free name
-    that one of its binders would be renamed away from."""
-    return not (avoid_v or avoid_c) and names[0].isdisjoint(tmap) and names[1].isdisjoint(cmap)
-
-
-def _sub_command(c, tmap, cmap, avoid_v, avoid_c) -> CCommand:
-    if _untouched(free_names_command(c), tmap, cmap, avoid_v, avoid_c):
-        return c
-    return CCommand(
-        _sub_term(c.term, tmap, cmap, avoid_v, avoid_c),
-        _sub_coterm(c.coterm, tmap, cmap, avoid_v, avoid_c),
-    )
-
-
-def _sub_coterm(e, tmap, cmap, avoid_v, avoid_c) -> CCoTerm:
-    match e:
-        case CoVar(name):
-            return cmap.get(name, e)
-        case CPush(arg, rest):
-            if _untouched(free_names_coterm(e), tmap, cmap, avoid_v, avoid_c):
-                return e
-            return CPush(
-                _sub_term(arg, tmap, cmap, avoid_v, avoid_c),
-                _sub_coterm(rest, tmap, cmap, avoid_v, avoid_c),
-            )
-        case _:
-            return e
-
-
-def _sub_term(t, tmap, cmap, avoid_v, avoid_c) -> CTerm:
-    match t:
-        case Var(name):
-            return tmap.get(name, t)
-        case Proj():
-            return t
-    if _untouched(free_names_term(t), tmap, cmap, avoid_v, avoid_c):
-        return t
-    match t:
-        case CApp(fun, arg):
-            return CApp(
-                _sub_term(fun, tmap, cmap, avoid_v, avoid_c),
-                _sub_term(arg, tmap, cmap, avoid_v, avoid_c),
-            )
+def _sub(n, tmap, cmap, avoid_v, avoid_c):
+    cls = type(n)
+    if cls is Var:
+        return tmap.get(n.name, n)
+    if cls is CoVar:
+        return cmap.get(n.name, n)
+    if cls is Proj or cls is CStuckCo:
+        return n
+    # Substituting gives an equal copy of n when no key is free in it and
+    # no payload carries a free name one of its binders would be renamed
+    # away from; share n instead.
+    if not (avoid_v or avoid_c):
+        fv, fc = free_names(n)
+        if fv.isdisjoint(tmap) and fc.isdisjoint(cmap):
+            return n
+    match n:
         case Mu(covar, body):
             cmap2 = {k: v for k, v in cmap.items() if k != covar}
             if not tmap and not cmap2:
-                return t
+                return n
             if covar in avoid_c:
-                _, fc = free_names_command(body)
+                _, fc = free_names(body)
                 renamed = fresh(avoid_c | fc | set(cmap2), covar)
                 cmap2[covar] = CoVar(renamed)
                 covar = renamed
                 # The rename is itself a payload now, so deeper binders
                 # spelled the same way must keep out of its way too.
                 avoid_c = avoid_c | {renamed}
-            return Mu(covar, _sub_command(body, tmap, cmap2, avoid_v, avoid_c))
+            return Mu(covar, _sub(body, tmap, cmap2, avoid_v, avoid_c))
         case Case(binder, cobinder, body):
             tmap2 = {k: v for k, v in tmap.items() if k != binder}
             cmap2 = {k: v for k, v in cmap.items() if k != cobinder}
             if not tmap2 and not cmap2:
-                return t
+                return n
             if binder in avoid_v:
-                fv, _ = free_names_command(body)
+                fv, _ = free_names(body)
                 renamed = fresh(avoid_v | fv | set(tmap2), binder)
                 tmap2[binder] = Var(renamed)
                 binder = renamed
                 avoid_v = avoid_v | {renamed}
             if cobinder in avoid_c:
-                _, fc = free_names_command(body)
+                _, fc = free_names(body)
                 renamed = fresh(avoid_c | fc | set(cmap2), cobinder)
                 cmap2[cobinder] = CoVar(renamed)
                 cobinder = renamed
                 avoid_c = avoid_c | {renamed}
-            return Case(binder, cobinder, _sub_command(body, tmap2, cmap2, avoid_v, avoid_c))
+            return Case(binder, cobinder, _sub(body, tmap2, cmap2, avoid_v, avoid_c))
+    # CApp, CPush and CCommand: rebuild from both substituted fields.
+    first, second = cls.__match_args__
+    return cls(
+        _sub(getattr(n, first), tmap, cmap, avoid_v, avoid_c),
+        _sub(getattr(n, second), tmap, cmap, avoid_v, avoid_c),
+    )
 
 
 def control_load(t: CTerm) -> CCommand:
@@ -427,7 +365,7 @@ def unembed_term(t: CTerm, allow_proj: bool = False) -> Term:
         case CApp(fun, arg):
             return App(unembed_term(fun, allow_proj), unembed_term(arg, allow_proj))
         case Case(binder, cobinder, CCommand(body_term, CoVar(name))) if name == cobinder:
-            _, free_covars = free_names_term(body_term)
+            _, free_covars = free_names(body_term)
             if cobinder in free_covars:
                 raise ValueError("co-binder recaptured in the body")
             return Lam(binder, unembed_term(body_term, allow_proj))

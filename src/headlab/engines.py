@@ -242,16 +242,13 @@ def _control_load(t: Term) -> control.CCommand:
     return control.control_load(control.embed_term(t))
 
 
-def _control_readback(step_fn) -> Readback:
-    """Readback of a control machine: its state, read as a state of the
-    substitution machine it simulates, reads back by that machine's
-    `step_fn`."""
-
-    def readback(c: control.CCommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
-        state = control.as_projection_command(c)
-        return _machine_readback(step_fn, print_state)(state, emit, budget)
-
-    return readback
+def _control_readback(c: control.CCommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
+    """Readback of either control machine: its state, read as a state of
+    the substitution machine it simulates, reads back by the projection
+    machine's step.  A control-krivine state never holds a projection, so
+    for it that step only pops, as krivine's readback does."""
+    state = control.as_projection_command(c)
+    return _machine_readback(projection.proj_readback_step, print_state)(state, emit, budget)
 
 
 # --- registry -----------------------------------------------------------------
@@ -381,7 +378,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=_control_load,
         step=control.control_step,
         halt=partial(control.control_halt, projective=False),
-        readback=_control_readback(weakhead.krivine_readback_step),
+        readback=_control_readback,
     ),
     Engine(
         name="control-proj",
@@ -390,7 +387,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=_control_load,
         step=control.control_proj_step,
         halt=partial(control.control_halt, projective=True),
-        readback=_control_readback(projection.proj_readback_step),
+        readback=_control_readback,
     ),
 )}
 

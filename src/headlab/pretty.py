@@ -6,7 +6,8 @@ engine: projection chains as car/cdr around tp, binder frames as
 Abs(x, S), environments as binding lists.  The coalesced rendering
 prints counts in place of chains: a projection offset as pick/drop, an
 anonymous binder prefix as \\^n.  The control syntax shares the term
-syntax's Var and Proj leaves, so one term printer prints both.
+syntax's Var and Proj leaves, so one term printer prints both, and one
+command printer prints the commands of both.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ def _term(t: Union[Term, control.CTerm], pos: int, proj_style: str) -> str:
             text = f"{_term(fun, _FUN, proj_style)} {_term(arg, _ARG, proj_style)}"
             return f"({text})" if pos > _FUN else text
         case control.Mu(covar, body):
-            text = f"mu {covar}.{_c_command(body)}"
+            text = f"mu {covar}.{_command(body, proj_style)}"
             return f"({text})" if pos > _TOP else text
         case control.Case(binder, cobinder, body):
-            return f"case[({binder} . {cobinder}).{_c_command(body)}]"
+            return f"case[({binder} . {cobinder}).{_command(body, proj_style)}]"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -63,27 +64,23 @@ def print_term(t: Term) -> str:
     return _term(t, _TOP, "car")
 
 
-def _p_coterm(e: weakhead.PCoTerm, style: str) -> str:
-    args, stuck = split_stack(e, weakhead.PPush)
-    if isinstance(stuck, headsimple.HStuck):
-        tail = "tp"
-        for name in reversed(stuck.binders):
-            tail = f"Abs({name}, {tail})"
+def _coterm(e: Union[weakhead.PCoTerm, control.CCoTerm], style: str) -> str:
+    args, tail = split_stack(e, (weakhead.PPush, control.CPush))
+    if isinstance(tail, headsimple.HStuck):
+        text = "tp"
+        for name in reversed(tail.binders):
+            text = f"Abs({name}, {text})"
+    elif isinstance(tail, control.CoVar):
+        text = tail.name
     elif style == "pick":
-        tail = f"drop {stuck.depth} tp"
+        text = f"drop {tail.depth} tp"
     else:
-        tail = _cdr_chain(stuck.depth)
-    return " . ".join([*(_term(arg, _ARG, style) for arg in args), tail])
+        text = _cdr_chain(tail.depth)
+    return " . ".join([*(_term(arg, _ARG, style) for arg in args), text])
 
 
-def _c_coterm(e: control.CCoTerm) -> str:
-    args, tail = split_stack(e, control.CPush)
-    text = tail.name if isinstance(tail, control.CoVar) else _cdr_chain(tail.depth)
-    return " . ".join([*(_term(arg, _ARG, "car") for arg in args), text])
-
-
-def _c_command(c: control.CCommand) -> str:
-    return f"<{_term(c.term, _TOP, 'car')} || {_c_coterm(c.coterm)}>"
+def _command(c: Union[weakhead.PCommand, control.CCommand], style: str) -> str:
+    return f"<{_term(c.term, _TOP, style)} || {_coterm(c.coterm, style)}>"
 
 
 def _env(env: envmachine.Env, depth: int, style: str) -> str:
@@ -123,10 +120,8 @@ def print_state(state: State, coalesced: bool = False) -> str:
     head-debruijn and env-head."""
     style = "pick" if coalesced else "car"
     match state:
-        case weakhead.PCommand():
-            return f"<{_term(state.term, _TOP, style)} || {_p_coterm(state.coterm, style)}>"
-        case control.CCommand():
-            return _c_command(state)
+        case weakhead.PCommand() | control.CCommand():
+            return _command(state, style)
         case envmachine.ECommand():
             term = _term(state.term, _TOP, style)
             return f"<{term} || {_env(state.env, 2, style)} || {_e_coterm(state.coterm, style)}>"

@@ -359,11 +359,12 @@ def strip_binders(t: Term) -> tuple[tuple[str, ...], Term]:
     return tuple(binders), t
 
 
-def split_stack(coterm, push: type) -> tuple[list, object]:
+def split_stack(coterm, push: type | tuple[type, ...]) -> tuple[list, object]:
     """Peel the pushed arguments off a machine's co-term, top of stack first.
 
-    `push` is that machine's push frame, a class with `arg` and `rest`.
-    Returns the arguments and what is left under the last push.
+    `push` is that machine's push frame, a class with `arg` and `rest`, or
+    a tuple of such classes.  Returns the arguments and what is left under
+    the last push.
     """
     args = []
     while isinstance(coterm, push):

@@ -2,6 +2,7 @@
 lambda terms."""
 
 import dataclasses
+import hashlib
 import random
 import sys
 
@@ -22,9 +23,7 @@ from headlab.control import (
     control_proj_step,
     control_step,
     embed_term,
-    free_names_command,
-    free_names_coterm,
-    free_names_term,
+    free_names,
     is_legal_command,
     legality_status,
     subst_command,
@@ -148,6 +147,57 @@ class TestSubstitution:
         inner_out = out.body.term.arg
         assert inner_out.binder != out.binder
         assert inner_out.body.term == Var(out.binder)
+
+
+class TestRenamingSpelling:
+    """Substitution spells its results byte for byte as it always has,
+    renamed binders included: an alpha-equivalent respelling fails these
+    tests as a capture does.  In each hand-built case a key of the
+    substitution is spelled like the first name fresh would pick, and a
+    deeper binder like the rename, so both must be stepped around."""
+
+    @pytest.mark.parametrize(
+        "seed, vs, cs, expected",
+        [
+            (5, "xyz", "abk", "30a63a442de27ecffbf42c3dd7c693eb5d329cdfba475f276d6fd6f3779c1131"),
+            (
+                7, ("x", "y", "x1", "y1"), ("a", "b", "a1", "a2"),
+                "1bb4f382a0b8ca23565790f6e9cd565654af676f4d88129f1a2e568d6e9f6127",
+            ),
+        ],
+        ids=["plain-names", "rename-names"],
+    )
+    def test_random_substitutions_and_runs_keep_their_spelling(self, seed, vs, cs, expected):
+        # The second name pool holds the names the renames pick, so deeper
+        # binders and keys collide with them.
+        assert _spelling_digest(seed, 3_000, vs, cs) == expected
+
+    def test_mu_cobinder_rename(self):
+        # <mu a.<mu a2.<x || a> || b> || k> [b := a, a1 := c]
+        inner = Mu("a2", CCommand(Var("x"), CoVar("a")))
+        command = CCommand(Mu("a", CCommand(inner, CoVar("b"))), CoVar("k"))
+        result = subst_command(command, {}, {"b": CoVar("a"), "a1": CoVar("c")})
+        # = <mu a2.<mu a21.<x || a2> || a> || k>
+        inner = Mu("a21", CCommand(Var("x"), CoVar("a2")))
+        assert result == CCommand(Mu("a2", CCommand(inner, CoVar("a"))), CoVar("k"))
+
+    def test_case_binder_rename(self):
+        # <case[(y . j).<w (case[(y2 . i).<y || i>]) || j>] || k> [w := y, y1 := u]
+        inner = Case("y2", "i", CCommand(Var("y"), CoVar("i")))
+        command = CCommand(Case("y", "j", CCommand(CApp(Var("w"), inner), CoVar("j"))), CoVar("k"))
+        result = subst_command(command, {"w": Var("y"), "y1": Var("u")}, {})
+        # = <case[(y2 . j).<y (case[(y21 . i).<y2 || i>]) || j>] || k>
+        inner = Case("y21", "i", CCommand(Var("y2"), CoVar("i")))
+        assert result == CCommand(Case("y2", "j", CCommand(CApp(Var("y"), inner), CoVar("j"))), CoVar("k"))
+
+    def test_case_cobinder_rename(self):
+        # <case[(x . a).<mu a2.<z || a> || b>] || k> [b := a, a1 := c]
+        body = CCommand(Mu("a2", CCommand(Var("z"), CoVar("a"))), CoVar("b"))
+        command = CCommand(Case("x", "a", body), CoVar("k"))
+        result = subst_command(command, {}, {"b": CoVar("a"), "a1": CoVar("c")})
+        # = <case[(x . a2).<mu a21.<z || a2> || a>] || k>
+        body = CCommand(Mu("a21", CCommand(Var("z"), CoVar("a2"))), CoVar("a"))
+        assert result == CCommand(Case("x", "a2", body), CoVar("k"))
 
 
 class TestLegality:
@@ -283,40 +333,51 @@ def _run(term, step, fuel=100, max_nodes=2_000):
         betas += rule == "beta"
 
 
-def _gen_term(rng, depth):
+def _gen_term(rng, depth, vs="xyz", cs="abk"):
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
-        return Var(rng.choice("xyz")) if roll < 0.2 else Proj(rng.randrange(3))
+        return Var(rng.choice(vs)) if roll < 0.2 else Proj(rng.randrange(3))
     if roll < 0.55:
-        return CApp(_gen_term(rng, depth - 1), _gen_term(rng, depth - 1))
+        return CApp(_gen_term(rng, depth - 1, vs, cs), _gen_term(rng, depth - 1, vs, cs))
     if roll < 0.75:
-        return Mu(rng.choice("abk"), _gen_command(rng, depth - 1))
-    return Case(rng.choice("xyz"), rng.choice("abk"), _gen_command(rng, depth - 1))
+        return Mu(rng.choice(cs), _gen_command(rng, depth - 1, vs, cs))
+    return Case(rng.choice(vs), rng.choice(cs), _gen_command(rng, depth - 1, vs, cs))
 
 
-def _gen_coterm(rng, depth):
+def _gen_coterm(rng, depth, vs="xyz", cs="abk"):
     roll = rng.random()
     if depth <= 0 or roll < 0.4:
-        return CoVar(rng.choice("abk")) if roll < 0.25 else CStuckCo(rng.randrange(3))
-    return CPush(_gen_term(rng, depth - 1), _gen_coterm(rng, depth - 1))
+        return CoVar(rng.choice(cs)) if roll < 0.25 else CStuckCo(rng.randrange(3))
+    return CPush(_gen_term(rng, depth - 1, vs, cs), _gen_coterm(rng, depth - 1, vs, cs))
 
 
-def _gen_command(rng, depth):
-    return CCommand(_gen_term(rng, depth), _gen_coterm(rng, depth))
+def _gen_command(rng, depth, vs="xyz", cs="abk"):
+    return CCommand(_gen_term(rng, depth, vs, cs), _gen_coterm(rng, depth, vs, cs))
 
 
-def _free_names(node):
-    if isinstance(node, CCommand):
-        return free_names_command(node)
-    if isinstance(node, (CoVar, CPush, CStuckCo)):
-        return free_names_coterm(node)
-    return free_names_term(node)
+def _spelling_digest(seed, count, vs, cs):
+    """sha256 over the reprs of `count` random substitutions and of the
+    control-proj runs from the random commands, up to 20 steps each."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        command = _gen_command(rng, rng.randrange(1, 6), vs, cs)
+        tmap = {name: _gen_term(rng, 2, vs, cs) for name in rng.sample(vs, rng.randrange(len(vs)))}
+        cmap = {name: _gen_coterm(rng, 2, vs, cs) for name in rng.sample(cs, rng.randrange(len(cs)))}
+        digest.update(repr(subst_command(command, tmap, cmap)).encode())
+        for _ in range(20):
+            nxt = control_proj_step(command)
+            if nxt is None:
+                break
+            rule, command = nxt
+            digest.update(f"{rule} {command!r}".encode())
+    return digest.hexdigest()
 
 
 def _measure_mismatches(memo):
     """The nodes in a ref_control_measures memo whose cached size or free
     names differ from the reference walk."""
-    return [node for node, size, fv, fc in memo.values() if (node.size, _free_names(node)) != (size, (fv, fc))]
+    return [node for node, size, fv, fc in memo.values() if (node.size, free_names(node)) != (size, (fv, fc))]
 
 
 class TestCachedMeasures:
@@ -368,10 +429,10 @@ class TestCachedMeasures:
 
     def test_atoms_have_size_one_and_fixed_names(self):
         assert [cls.size for cls in (Var, Proj, CoVar, CStuckCo)] == [1, 1, 1, 1]
-        assert free_names_term(Var("x")) == (frozenset({"x"}), frozenset())
-        assert free_names_term(Proj(2)) == (frozenset(), frozenset())
-        assert free_names_coterm(CoVar("k")) == (frozenset(), frozenset({"k"}))
-        assert free_names_coterm(CStuckCo(0)) == (frozenset(), frozenset())
+        assert free_names(Var("x")) == (frozenset({"x"}), frozenset())
+        assert free_names(Proj(2)) == (frozenset(), frozenset())
+        assert free_names(CoVar("k")) == (frozenset(), frozenset({"k"}))
+        assert free_names(CStuckCo(0)) == (frozenset(), frozenset())
 
     def test_subst_command_returns_untouched_subterms(self):
         # The machines substitute closed payloads into closed programs, the
@@ -418,7 +479,7 @@ class TestCachedMeasures:
             ("name",), ("arg", "rest"), ("depth",), ("term", "coterm"),
         ]
         fresh_copy = build()
-        free_names_command(command)  # fills the memos of command but not of fresh_copy
+        free_names(command)  # fills the memos of command but not of fresh_copy
         assert command == fresh_copy and hash(command) == hash(fresh_copy)
         mu = command.term.arg
         assert hash(command) == hash((command.term, command.coterm))

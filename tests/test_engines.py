@@ -129,7 +129,7 @@ class TestEvaluate:
 
     def test_an_untraced_run_renders_nothing(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("_term", "_c_command"):
+        for name in ("_term", "_command"):
 
             def counted(*args, _name=name, _printer=getattr(pretty, name)):
                 calls[_name] += 1
@@ -143,7 +143,7 @@ class TestEvaluate:
         assert calls == {}
         for name in engine_names():
             evaluate(term, name, 100, trace=True)
-        assert calls["_term"] > 0 and calls["_c_command"] > 0
+        assert calls["_term"] > 0 and calls["_command"] > 0
 
     def test_every_engine_renders_every_trace_state(self):
         probes = [T(r"\x.(\y.y) x"), T(r"(\f.f (f w)) (\u.u)"), T("q w"), T(r"\a.\b.a (b q)")]
@@ -934,6 +934,19 @@ class TestCli:
         code = main(["compare", "--engines", "wh-os,krivine", "--fuel", "40", str(src)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "engines, message",
+        [("nope", "unknown engine 'nope'"), ("krivine,krivine", "engine 'krivine' is listed twice")],
+    )
+    def test_compare_rejects_a_bad_engine_list(self, tmp_path, capsys, engines, message):
+        src = tmp_path / "t.lam"
+        src.write_text("x")
+        code = main(["compare", "--engines", engines, str(src)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_compare_subset_selection(self, tmp_path, capsys):
         src = tmp_path / "t.lam"
