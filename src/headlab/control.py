@@ -114,9 +114,6 @@ class CoVar(Node):
     __slots__ = __match_args__ = ("name",)
     size = 1
 
-    def __init__(self, name: str) -> None:
-        _covar_name(self, name)
-
 
 class CPush(Node):
     __match_args__ = ("arg", "rest")
@@ -135,9 +132,6 @@ class CStuckCo(Node):
     __slots__ = __match_args__ = ("depth",)
     size = 1
 
-    def __init__(self, depth: int) -> None:
-        _cstuckco_depth(self, depth)
-
 
 CCoTerm = Union[CoVar, CPush, CStuckCo]
 
@@ -155,9 +149,8 @@ class CCommand(Node):
         _ccommand_fn(self, None)
 
 
-# The slot setters of the control nodes, which write through the slot
-# descriptors as syntax.App and syntax.Lam do.
-_covar_name, _cstuckco_depth = CoVar.name.__set__, CStuckCo.depth.__set__
+# The slot setters of the compound control nodes, which write through the
+# slot descriptors as syntax.App and syntax.Lam do.
 _capp_fun, _capp_arg, _capp_size, _capp_fn = (
     getattr(CApp, name).__set__ for name in ("fun", "arg", "size", "_fn")
 )
@@ -354,21 +347,20 @@ def embed_term(t: Term) -> CTerm:
     return go(t)
 
 
-def unembed_term(t: CTerm, allow_proj: bool = False) -> Term:
-    """Invert the embedding.  Raises ValueError for terms outside the image
-    (a Mu, or a Case whose body is not just a hand-off to its co-binder)."""
+def unembed_term(t: CTerm) -> Term:
+    """Invert the embedding; a Proj, which control_proj_step makes, stays.
+    Raises ValueError for terms outside the image (a Mu, or a Case whose
+    body is not just a hand-off to its co-binder)."""
     match t:
-        case Var():
-            return t
-        case Proj() if allow_proj:
+        case Var() | Proj():
             return t
         case CApp(fun, arg):
-            return App(unembed_term(fun, allow_proj), unembed_term(arg, allow_proj))
+            return App(unembed_term(fun), unembed_term(arg))
         case Case(binder, cobinder, CCommand(body_term, CoVar(name))) if name == cobinder:
             _, free_covars = free_names(body_term)
             if cobinder in free_covars:
                 raise ValueError("co-binder recaptured in the body")
-            return Lam(binder, unembed_term(body_term, allow_proj))
+            return Lam(binder, unembed_term(body_term))
         case _:
             raise ValueError(f"not an embedded term: {t!r}")
 
@@ -382,5 +374,5 @@ def as_projection_command(c: CCommand) -> PCommand:
         raise ValueError("open co-term")
     coterm: PCoTerm = PStuck(e.depth)
     for arg in reversed(args):
-        coterm = PPush(unembed_term(arg, allow_proj=True), coterm)
-    return PCommand(unembed_term(c.term, allow_proj=True), coterm)
+        coterm = PPush(unembed_term(arg), coterm)
+    return PCommand(unembed_term(c.term), coterm)

@@ -537,17 +537,18 @@ class CompareReport(Node):
 
 def _group_agrees(outcomes: list[Outcome]) -> bool:
     if all(isinstance(o, Normal) for o in outcomes):
-        first = outcomes[0].result
-        return all(alpha_eq(first, o.result) for o in outcomes[1:])
+        first = outcomes[0]
+        return all(o.betas == first.betas and alpha_eq(first.result, o.result) for o in outcomes[1:])
     return all(isinstance(o, FuelExhausted) for o in outcomes)
 
 
 def compare(term: Term, engines: Iterable[str], fuel: Optional[int] = None) -> CompareReport:
     """Run several engines and group their outcomes.
 
-    Engines of one strategy must agree up to alpha-equivalence (or agree
-    to run out of fuel); the weak-head and head groups may legitimately
-    differ from each other, which is reported but is not a disagreement.
+    Engines of one strategy must reach alpha-equivalent results in the
+    same number of betas (or agree to run out of fuel); the weak-head and
+    head groups may legitimately differ from each other, which is
+    reported but is not a disagreement.
     """
     budget = resolve_fuel(fuel)
     results = []

@@ -66,11 +66,6 @@ class Closure(Node):
 class Binding(Node):
     __slots__ = __match_args__ = ("name", "value", "rest")
 
-    def __init__(self, name: str, value: Closure, rest: "Env") -> None:
-        _binding_name(self, name)
-        _binding_value(self, value)
-        _binding_rest(self, rest)
-
 
 # Environments are shared-tail linked lists; None is the empty one.
 Env = Union[Binding, None]
@@ -87,10 +82,6 @@ def env_lookup(env: Env, name: str) -> Optional[Closure]:
 class EPush(Node):
     __slots__ = __match_args__ = ("arg", "rest")
 
-    def __init__(self, arg: Closure, rest: "ECoTerm") -> None:
-        _epush_arg(self, arg)
-        _epush_rest(self, rest)
-
 
 ECoTerm = Union[EPush, PStuck]
 
@@ -104,25 +95,13 @@ class ECommand(Node):
     # about their betas.  A shared measure is item 7 of ROADMAP.md.
     size = height = 1
 
-    def __init__(self, term: Term, env: Env, coterm: ECoTerm) -> None:
-        _ecommand_term(self, term)
-        _ecommand_env(self, env)
-        _ecommand_coterm(self, coterm)
 
-
-# The machines build one or more of these on every transition.  A Node
-# refuses attribute assignment, so the __init__ methods above write through
-# the slot descriptors, which is also cheaper than object.__setattr__ (the
-# same idiom as syntax.App and syntax.Lam).
+# The slot setters of Closure, whose __init__ clears its chain memo.  A
+# Node refuses attribute assignment, so it writes through the slot
+# descriptors, which is also cheaper than object.__setattr__ (the same
+# idiom as syntax.App and syntax.Lam).
 _closure_term, _closure_env, _closure_chain = (
     getattr(Closure, name).__set__ for name in ("term", "env", "_chain")
-)
-_binding_name, _binding_value, _binding_rest = (
-    getattr(Binding, name).__set__ for name in ("name", "value", "rest")
-)
-_epush_arg, _epush_rest = (getattr(EPush, name).__set__ for name in ("arg", "rest"))
-_ecommand_term, _ecommand_env, _ecommand_coterm = (
-    getattr(ECommand, name).__set__ for name in ("term", "env", "coterm")
 )
 
 

@@ -82,12 +82,6 @@ class HStuck(Node):
     __slots__ = __match_args__ = ("binders",)
     size = frames = height = property(lambda self: len(self.binders))
 
-    def __init__(self, binders: tuple[str, ...]) -> None:
-        _hstuck_binders(self, binders)
-
-
-_hstuck_binders = HStuck.binders.__set__
-
 
 def abs_load(t: Term) -> PCommand:
     return PCommand(t, HStuck(()))

@@ -22,13 +22,6 @@ __all__ = ["SourceSpan", "ParseError", "parse_term"]
 class SourceSpan(Node):
     __slots__ = __match_args__ = ("start", "end")
 
-    def __init__(self, start: int, end: int) -> None:
-        _span_start(self, start)
-        _span_end(self, end)
-
-
-_span_start, _span_end = SourceSpan.start.__set__, SourceSpan.end.__set__
-
 
 class ParseError(Exception):
     def __init__(self, message: str, span: SourceSpan):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Union
 
 from . import control, envmachine, headsimple, projection, weakhead
-from .syntax import App, Index, Lam, Proj, Term, Var, split_stack
+from .syntax import App, Index, Lam, Proj, Term, Var, split_stack, strip_binders
 
 __all__ = ["print_term", "print_state"]
 
@@ -42,11 +42,7 @@ def _term(t: Union[Term, control.CTerm], pos: int, proj_style: str) -> str:
                 return f"({text})" if pos > _TOP else text
             return f"car({_cdr_chain(depth)})"
         case Lam():
-            binders = []
-            body = t
-            while isinstance(body, Lam):
-                binders.append(body.binder)
-                body = body.body
+            binders, body = strip_binders(t)
             text = f"\\{' '.join(binders)}.{_term(body, _TOP, proj_style)}"
             return f"({text})" if pos > _TOP else text
         case App(fun, arg) | control.CApp(fun, arg):

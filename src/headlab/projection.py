@@ -113,13 +113,6 @@ class TopTerm(Node):
     size = property(lambda self: self.body.size + self.binders)
     height = property(lambda self: self.body.height + self.binders)
 
-    def __init__(self, binders: int, body: Term) -> None:
-        _topterm_binders(self, binders)
-        _topterm_body(self, body)
-
-
-_topterm_binders, _topterm_body = TopTerm.binders.__set__, TopTerm.body.__set__
-
 
 def derived_step(t: TopTerm) -> Optional[tuple[str, TopTerm]]:
     """Absorb a top-level lambda into the anonymous prefix, or contract
@@ -167,6 +160,5 @@ def translate_hash(v: Term) -> TopTerm:
     lambda prefix into the anonymous top level."""
     t = TopTerm(0, v)
     while isinstance(t.body, Lam):
-        absorbed = subst(t.body.body, t.body.binder, Index(t.binders))
-        t = TopTerm(t.binders + 1, absorbed)
+        _, t = derived_step(t)
     return t

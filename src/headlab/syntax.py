@@ -10,8 +10,9 @@ builds them, so user-supplied terms stay pure.
 Every record in headlab, term nodes and machine states alike, is a `Node`:
 a slotted class whose `__match_args__` name its value fields.  Node
 derives `==`, `hash`, `repr` and immutability from those fields, as a
-frozen dataclass would, without a dataclass's class-building cost at
-import.
+frozen dataclass would, and it writes the constructor of every record
+that stores nothing else, at a fraction of a dataclass's class-building
+cost at import.
 
 Every term node carries its node count and height (`size`, `height`), set
 when it is built, so `term_metrics` reads two fields instead of walking
@@ -66,13 +67,34 @@ class Node:
     part in `==`, `hash`, `repr` and pattern matching, as the fields of a
     frozen dataclass do.  Assignment and deletion raise
     FrozenInstanceError, so a constructor writes its fields through the
-    slot descriptors (`Cls.field.__set__`).  Records built on every
-    machine step have such an `__init__`; the generic one below, which
-    takes the value fields in order, is for records built once a run.
+    slot descriptors (`Cls.field.__set__`).
+
+    A subclass that stores only its value fields gets that constructor
+    from `__init_subclass__`: it takes the fields in order or by keyword.
+    A subclass with a cached slot computes it, so it writes its own
+    `__init__`, or its class statement raises TypeError.  The generic
+    `__init__` below is the `super()` target of records whose fields
+    have defaults.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" in vars(cls):
+            return
+        fields = cls.__match_args__
+        if set(cls.__slots__) != set(fields):
+            raise TypeError(f"{cls.__name__} has slots outside __match_args__, so it must write its __init__")
+        # One descriptor write per field, compiled with exec as
+        # collections.namedtuple compiles its __new__: a loop over the
+        # setters would cost twice as much per record built.
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", scope)
+        init = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def __init__(self, *values) -> None:
         fields = self.__match_args__
@@ -104,9 +126,6 @@ class Node:
 class Var(Node):
     __slots__ = __match_args__ = ("name",)
     size = height = 1
-
-    def __init__(self, name: str) -> None:
-        _var_name(self, name)
 
 
 class App(Node):
@@ -144,9 +163,6 @@ class Proj(Node):
     __slots__ = __match_args__ = ("depth",)
     size = height = 1
 
-    def __init__(self, depth: int) -> None:
-        _proj_depth(self, depth)
-
 
 class Index(Node):
     """Positional reference to an anonymous top-level binder.
@@ -158,14 +174,10 @@ class Index(Node):
     __slots__ = __match_args__ = ("value",)
     size = height = 1
 
-    def __init__(self, value: int) -> None:
-        _index_value(self, value)
 
-
-# The slot setters of the term nodes.  A Node refuses attribute
-# assignment; the __init__ methods above write through the slot
-# descriptors instead, which is also cheaper than object.__setattr__.
-_var_name, _proj_depth, _index_value = Var.name.__set__, Proj.depth.__set__, Index.value.__set__
+# The slot setters of App and Lam, whose __init__ methods compute their
+# cached fields.  A Node refuses attribute assignment; writing through the
+# slot descriptors is also cheaper than object.__setattr__.
 _app_fun, _app_arg, _app_size, _app_height, _app_fv = (
     getattr(App, name).__set__ for name in ("fun", "arg", "size", "height", "_fv")
 )
@@ -395,20 +407,9 @@ def classify(t: Term) -> NormalFormClass:
 
 
 def is_pure(t: Term) -> bool:
-    """True when t uses only the Var/App/Lam constructors.  A loop over an
-    explicit stack of arguments still to visit, so no depth overflows it."""
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        while not isinstance(t, Var):
-            if isinstance(t, App):
-                todo.append(t.arg)
-                t = t.fun
-            elif isinstance(t, Lam):
-                t = t.body
-            else:
-                return False
-    return True
+    """True when t uses only the Var/App/Lam constructors.  A loop over
+    `nodes`, so no depth overflows it."""
+    return all(type(n) in (Var, App, Lam) for n in nodes(t))
 
 
 def replace_atom(t: Term, atom: Union[Proj, Index], x: str) -> Term:

@@ -82,9 +82,6 @@ class PStuck(Node):
     __slots__ = __match_args__ = ("depth",)
     size = frames = height = property(lambda self: self.depth)
 
-    def __init__(self, depth: int) -> None:
-        _pstuck_depth(self, depth)
-
 
 class PPush(Node):
     """An argument on the call stack.  A co-term measures the term it plugs
@@ -114,18 +111,12 @@ class PCommand(Node):
     size = property(lambda self: self.term.size + self.coterm.size)
     height = property(lambda self: max(self.term.height + self.coterm.frames, self.coterm.height))
 
-    def __init__(self, term: Term, coterm: PCoTerm) -> None:
-        _pcommand_term(self, term)
-        _pcommand_coterm(self, coterm)
 
-
-# The slot setters of the machine states, as for syntax.App and syntax.Lam.
-# A PCommand is built on every transition of the machines that share it.
-_pstuck_depth = PStuck.depth.__set__
+# The slot setters of PPush, whose __init__ computes its measures, as for
+# syntax.App and syntax.Lam.
 _ppush_arg, _ppush_rest, _ppush_size, _ppush_frames, _ppush_height = (
     getattr(PPush, name).__set__ for name in ("arg", "rest", "size", "frames", "height")
 )
-_pcommand_term, _pcommand_coterm = PCommand.term.__set__, PCommand.coterm.__set__
 
 TOP = PStuck(0)
 

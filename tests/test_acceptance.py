@@ -107,8 +107,8 @@ def _assert_group_agrees(corpus, outcomes_by_engine, names):
     for i in range(len(corpus)):
         outcomes = [outcomes_by_engine[name][i] for name in names]
         if all(isinstance(o, Normal) for o in outcomes):
-            first = outcomes[0].result
-            if not all(alpha_eq(first, o.result) for o in outcomes[1:]):
+            first = outcomes[0]
+            if not all(o.betas == first.betas and alpha_eq(first.result, o.result) for o in outcomes[1:]):
                 disagreements += 1
         elif not all(isinstance(o, FuelExhausted) for o in outcomes):
             disagreements += 1

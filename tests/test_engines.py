@@ -25,6 +25,7 @@ from headlab.engines import (
     Normal,
     Stuck,
     UnknownEngineError,
+    _group_agrees,
     _machine_readback,
     compare,
     engine_names,
@@ -697,6 +698,18 @@ class TestCompare:
         assert report.all_agree
         for result in report.results:
             assert isinstance(result.outcome, FuelExhausted)
+
+    def test_a_normalizing_group_agrees_on_betas(self):
+        # Results equal up to alpha are not enough: an engine that counts a
+        # non-beta transition as a beta disagrees with its group.
+        x, y = T(r"\x.x"), T(r"\y.y")
+        assert _group_agrees([Normal(x, 4, 2), Normal(y, 9, 2), Normal(x, 2, 2)])
+        assert not _group_agrees([Normal(x, 4, 2), Normal(y, 4, 3)])
+        assert not _group_agrees([Normal(x, 4, 2), Normal(x, 4, 2), Normal(x, 5, 1)])
+        assert not _group_agrees([Normal(x, 4, 2), Normal(T("x"), 4, 2)])
+        # Runs that stop without a normal form still agree on any betas.
+        assert _group_agrees([FuelExhausted("x", 5), FuelExhausted("y", 7, "work budget")])
+        assert not _group_agrees([Normal(x, 4, 2), FuelExhausted("x", 2)])
 
 
 def run_cli(args, stdin=None, monkeypatch=None, capsys=None):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import random
 import sys
@@ -466,6 +467,9 @@ class TestNode:
         fields = cls.__match_args__
         node, twin = cls(*values), cls(*values)
         assert tuple(getattr(node, f) for f in fields) == values
+        # Every constructor takes the value fields in order or by keyword.
+        assert tuple(inspect.signature(cls).parameters) == fields
+        assert cls(**dict(zip(fields, values))) == node
         assert not hasattr(node, "__dict__")
         # Cached slots lie outside the value fields: writing junk into them
         # leaves ==, hash and repr alone.
@@ -507,3 +511,51 @@ class TestNode:
     def test_generic_constructor_counts_values(self):
         with pytest.raises(TypeError):
             Normal(Var("x"), 2)
+
+        class Pair(Node):
+            __slots__ = __match_args__ = ("first", "second")
+
+            def __init__(self, first, second=None):
+                super().__init__(first)
+
+        with pytest.raises(TypeError, match="takes 2 values, not 1"):
+            Pair(1)
+
+    def test_node_writes_the_constructor_of_a_value_only_record(self):
+        class Triple(Node):
+            __slots__ = __match_args__ = ("a", "b", "c")
+
+        t = Triple(1, c=3, b=2)
+        assert (t.a, t.b, t.c) == (1, 2, 3) and t == Triple(1, 2, 3)
+        assert Triple.__init__.__qualname__.endswith("Triple.__init__")
+        for args, kwargs in (((1, 2), {}), ((1, 2, 3, 4), {}), ((1, 2), {"d": 3}), ((1, 2, 3), {"a": 1})):
+            with pytest.raises(TypeError):
+                Triple(*args, **kwargs)
+
+    def test_a_cached_slot_needs_a_written_constructor(self):
+        # A generated constructor would leave the cache slot unset.
+        with pytest.raises(TypeError, match="outside __match_args__"):
+
+            class Cached(Node):
+                __match_args__ = ("value",)
+                __slots__ = ("value", "_memo")
+
+        class Written(Node):
+            __match_args__ = ("value",)
+            __slots__ = ("value", "_memo")
+
+            def __init__(self, value):
+                Written.value.__set__(self, value)
+                Written._memo.__set__(self, None)
+
+        assert Written(1) == Written(1) and Written(1)._memo is None
+
+    def test_only_records_with_defaults_write_a_value_only_constructor(self):
+        # Every other record whose slots are its value fields has the
+        # constructor Node generates, compiled from source text.
+        written = [
+            c.__name__
+            for c in NODE_CLASSES
+            if set(c.__slots__) == set(c.__match_args__) and c.__init__.__code__.co_filename != "<string>"
+        ]
+        assert written == ["FuelExhausted", "Trace", "GenConfig"]
