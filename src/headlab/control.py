@@ -27,7 +27,8 @@ syntax.App it is an idempotent cache.  With it, substitution returns a
 subterm in which no key is free unchanged instead of copying it, as long
 as no payload has a free name (which could make a binder rename).  None
 of these fields takes part in `==`, `hash`, `repr` or pattern matching:
-as in syntax, they are slots outside each node's `__match_args__`.
+as in syntax, they are slots outside each node's `__match_args__`, and
+each class's `_derived` gives the formula its constructor sets them with.
 """
 
 from __future__ import annotations
@@ -72,12 +73,7 @@ _NO_NAMES: Names = (frozenset(), frozenset())
 class CApp(Node):
     __match_args__ = ("fun", "arg")
     __slots__ = ("fun", "arg", "size", "_fn")
-
-    def __init__(self, fun: "CTerm", arg: "CTerm") -> None:
-        _capp_fun(self, fun)
-        _capp_arg(self, arg)
-        _capp_size(self, fun.size + arg.size + 1)
-        _capp_fn(self, None)
+    _derived = {"size": "fun.size + arg.size + 1", "_fn": "None"}
 
 
 class Mu(Node):
@@ -85,12 +81,7 @@ class Mu(Node):
 
     __match_args__ = ("covar", "body")
     __slots__ = ("covar", "body", "size", "_fn")
-
-    def __init__(self, covar: str, body: "CCommand") -> None:
-        _mu_covar(self, covar)
-        _mu_body(self, body)
-        _mu_size(self, body.size + 1)
-        _mu_fn(self, None)
+    _derived = {"size": "body.size + 1", "_fn": "None"}
 
 
 class Case(Node):
@@ -98,13 +89,7 @@ class Case(Node):
 
     __match_args__ = ("binder", "cobinder", "body")
     __slots__ = ("binder", "cobinder", "body", "size", "_fn")
-
-    def __init__(self, binder: str, cobinder: str, body: "CCommand") -> None:
-        _case_binder(self, binder)
-        _case_cobinder(self, cobinder)
-        _case_body(self, body)
-        _case_size(self, body.size + 1)
-        _case_fn(self, None)
+    _derived = {"size": "body.size + 1", "_fn": "None"}
 
 
 CTerm = Union[Var, CApp, Mu, Case, Proj]
@@ -118,12 +103,7 @@ class CoVar(Node):
 class CPush(Node):
     __match_args__ = ("arg", "rest")
     __slots__ = ("arg", "rest", "size", "_fn")
-
-    def __init__(self, arg: CTerm, rest: "CCoTerm") -> None:
-        _cpush_arg(self, arg)
-        _cpush_rest(self, rest)
-        _cpush_size(self, arg.size + rest.size + 1)
-        _cpush_fn(self, None)
+    _derived = {"size": "arg.size + rest.size + 1", "_fn": "None"}
 
 
 class CStuckCo(Node):
@@ -139,33 +119,9 @@ CCoTerm = Union[CoVar, CPush, CStuckCo]
 class CCommand(Node):
     __match_args__ = ("term", "coterm")
     __slots__ = ("term", "coterm", "size", "_fn")
+    _derived = {"size": "term.size + coterm.size", "_fn": "None"}
     # The growth guard caps a control machine by size only.
     height = 1
-
-    def __init__(self, term: CTerm, coterm: CCoTerm) -> None:
-        _ccommand_term(self, term)
-        _ccommand_coterm(self, coterm)
-        _ccommand_size(self, term.size + coterm.size)
-        _ccommand_fn(self, None)
-
-
-# The slot setters of the compound control nodes, which write through the
-# slot descriptors as syntax.App and syntax.Lam do.
-_capp_fun, _capp_arg, _capp_size, _capp_fn = (
-    getattr(CApp, name).__set__ for name in ("fun", "arg", "size", "_fn")
-)
-_mu_covar, _mu_body, _mu_size, _mu_fn = (
-    getattr(Mu, name).__set__ for name in ("covar", "body", "size", "_fn")
-)
-_case_binder, _case_cobinder, _case_body, _case_size, _case_fn = (
-    getattr(Case, name).__set__ for name in ("binder", "cobinder", "body", "size", "_fn")
-)
-_cpush_arg, _cpush_rest, _cpush_size, _cpush_fn = (
-    getattr(CPush, name).__set__ for name in ("arg", "rest", "size", "_fn")
-)
-_ccommand_term, _ccommand_coterm, _ccommand_size, _ccommand_fn = (
-    getattr(CCommand, name).__set__ for name in ("term", "coterm", "size", "_fn")
-)
 
 
 def free_names(n: Union[CTerm, CCoTerm, CCommand]) -> Names:

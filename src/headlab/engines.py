@@ -105,9 +105,8 @@ class Trace(Node):
     is not, and `add` appends to it."""
 
     __slots__ = __match_args__ = ("engine", "events")
-
-    def __init__(self, engine: str, events: Optional[list[TraceEvent]] = None) -> None:
-        super().__init__(engine, [] if events is None else events)
+    engine: str
+    events: list[TraceEvent]
 
     def add(self, phase: str, rule: str, state: str) -> None:
         self.events.append(TraceEvent(len(self.events), phase, rule, state))
@@ -450,7 +449,7 @@ def evaluate(
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
-    tr = Trace(eng.name) if trace else None
+    tr = Trace(eng.name, []) if trace else None
     state = eng.load(term)
     if tr is not None:
         tr.add("load", "load", eng.render(state))

@@ -53,14 +53,14 @@ class Closure(Node):
     __match_args__ = ("term", "env")
     # _chain is (hops, end): a command focused on this closure makes `hops`
     # lookups and then focuses `end`, a non-variable or an unbound variable.
-    # Filled by `_chain_of` for bound variables only; outside ==, hash and
-    # repr.
+    # None until `_chain_of` fills it, for bound variables only; outside ==,
+    # hash and repr.
     __slots__ = ("term", "env", "_chain")
+    _derived = {"_chain": "None"}
 
-    def __init__(self, term: Term, env: "Env") -> None:
-        _closure_term(self, term)
-        _closure_env(self, env)
-        _closure_chain(self, None)
+
+# The writer of the chain memo, which `_chain_of` fills after construction.
+_closure_chain = Closure._chain.__set__
 
 
 class Binding(Node):
@@ -94,15 +94,6 @@ class ECommand(Node):
     # takes each lookup chain in one jump (env_lookups), so those runs cost
     # about their betas.  A shared measure is item 7 of ROADMAP.md.
     size = height = 1
-
-
-# The slot setters of Closure, whose __init__ clears its chain memo.  A
-# Node refuses attribute assignment, so it writes through the slot
-# descriptors, which is also cheaper than object.__setattr__ (the same
-# idiom as syntax.App and syntax.Lam).
-_closure_term, _closure_env, _closure_chain = (
-    getattr(Closure, name).__set__ for name in ("term", "env", "_chain")
-)
 
 
 def _chain_of(c: Closure) -> tuple[int, Closure]:

@@ -12,9 +12,8 @@ __all__ = ["GenConfig", "gen_term", "gen_terms"]
 
 class GenConfig(Node):
     __slots__ = __match_args__ = ("max_size", "seed")
-
-    def __init__(self, max_size: int = 30, seed: int = 0) -> None:
-        super().__init__(max_size, seed)
+    max_size: int
+    seed: int
 
 
 def gen_term(cfg: GenConfig) -> Term:

@@ -7,7 +7,8 @@ Abs(x, S), environments as binding lists.  The coalesced rendering
 prints counts in place of chains: a projection offset as pick/drop, an
 anonymous binder prefix as \\^n.  The control syntax shares the term
 syntax's Var and Proj leaves, so one term printer prints both, and one
-command printer prints the commands of both.
+command printer prints the commands of both.  One co-term printer prints
+the call stacks of the stack, control and environment machines.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def print_term(t: Term) -> str:
     return _term(t, _TOP, "car")
 
 
-def _coterm(e: Union[weakhead.PCoTerm, control.CCoTerm], style: str) -> str:
-    args, tail = split_stack(e, (weakhead.PPush, control.CPush))
+def _coterm(e: Union[weakhead.PCoTerm, control.CCoTerm, envmachine.ECoTerm], style: str) -> str:
+    args, tail = split_stack(e, (weakhead.PPush, control.CPush, envmachine.EPush))
     if isinstance(tail, headsimple.HStuck):
         text = "tp"
         for name in reversed(tail.binders):
@@ -72,7 +73,8 @@ def _coterm(e: Union[weakhead.PCoTerm, control.CCoTerm], style: str) -> str:
         text = f"drop {tail.depth} tp"
     else:
         text = _cdr_chain(tail.depth)
-    return " . ".join([*(_term(arg, _ARG, style) for arg in args), text])
+    shown = [_closure(a, 1, style) if type(a) is envmachine.Closure else _term(a, _ARG, style) for a in args]
+    return " . ".join([*shown, text])
 
 
 def _command(c: Union[weakhead.PCommand, control.CCommand], style: str) -> str:
@@ -95,12 +97,6 @@ def _closure(c: envmachine.Closure, depth: int, style: str) -> str:
     return f"({_term(c.term, _TOP, style)}, {_env(c.env, depth, style)})"
 
 
-def _e_coterm(e: envmachine.ECoTerm, style: str) -> str:
-    args, stuck = split_stack(e, envmachine.EPush)
-    tail = f"drop {stuck.depth} tp" if style == "pick" else _cdr_chain(stuck.depth)
-    return " . ".join([*(_closure(arg, 1, style) for arg in args), tail])
-
-
 State = Union[
     Term,
     weakhead.PCommand,
@@ -120,7 +116,7 @@ def print_state(state: State, coalesced: bool = False) -> str:
             return _command(state, style)
         case envmachine.ECommand():
             term = _term(state.term, _TOP, style)
-            return f"<{term} || {_env(state.env, 2, style)} || {_e_coterm(state.coterm, style)}>"
+            return f"<{term} || {_env(state.env, 2, style)} || {_coterm(state.coterm, style)}>"
         case projection.TopTerm():
             prefix = f"\\^{state.binders}." if coalesced else "\\." * state.binders
             return prefix + print_term(state.body)

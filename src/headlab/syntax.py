@@ -10,9 +10,8 @@ builds them, so user-supplied terms stay pure.
 Every record in headlab, term nodes and machine states alike, is a `Node`:
 a slotted class whose `__match_args__` name its value fields.  Node
 derives `==`, `hash`, `repr` and immutability from those fields, as a
-frozen dataclass would, and it writes the constructor of every record
-that stores nothing else, at a fraction of a dataclass's class-building
-cost at import.
+frozen dataclass would, and it writes the constructor of every record,
+at a fraction of a dataclass's class-building cost at import.
 
 Every term node carries its node count and height (`size`, `height`), set
 when it is built, so `term_metrics` reads two fields instead of walking
@@ -20,7 +19,8 @@ the tree.  App and Lam also keep a free-variable memo that `free_vars`
 fills on first use; it is an idempotent cache, so two threads that fill
 it at once only race to write equal values.  These cached fields are
 slots outside `__match_args__`, so none of them takes part in `==`,
-`hash`, `repr` or pattern matching.
+`hash`, `repr` or pattern matching; each class's `_derived` gives the
+formula its constructor sets one with.
 """
 
 from __future__ import annotations
@@ -69,28 +69,40 @@ class Node:
     FrozenInstanceError, so a constructor writes its fields through the
     slot descriptors (`Cls.field.__set__`).
 
-    A subclass that stores only its value fields gets that constructor
-    from `__init_subclass__`: it takes the fields in order or by keyword.
-    A subclass with a cached slot computes it, so it writes its own
-    `__init__`, or its class statement raises TypeError.  The generic
-    `__init__` below is the `super()` target of records whose fields
-    have defaults.
+    `__init_subclass__` writes every subclass's constructor: it takes the
+    value fields in order or by keyword.  Each other slot is a cached
+    one, and the ordered mapping `_derived` gives the Python expression
+    that sets it when the record is built; the expression may read the
+    value fields and the cached slots listed before it.  A slot in
+    neither raises TypeError when the class is created.  The generic
+    `__init__` below is the `super()` target of a record whose fields
+    have defaults, which writes its own `__init__`.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...]
+    _derived: dict[str, str] = {}
 
     def __init_subclass__(cls) -> None:
         if "__init__" in vars(cls):
             return
-        fields = cls.__match_args__
-        if set(cls.__slots__) != set(fields):
-            raise TypeError(f"{cls.__name__} has slots outside __match_args__, so it must write its __init__")
-        # One descriptor write per field, compiled with exec as
+        fields, derived = cls.__match_args__, cls._derived
+        if set(cls.__slots__) != {*fields, *derived}:
+            raise TypeError(f"{cls.__name__} has a slot outside __match_args__ and _derived")
+        # One descriptor write per slot, compiled with exec as
         # collections.namedtuple compiles its __new__: a loop over the
-        # setters would cost twice as much per record built.
-        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-        body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+        # setters would cost twice as much per record built.  A cached slot
+        # is bound to a local only when a later formula's text names it, so
+        # the code is what a hand-written init would be.
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in cls.__slots__}
+        lines = [f"_set_{f}(self, {f})" for f in fields]
+        formulas = list(derived.values())
+        for i, (name, formula) in enumerate(derived.items()):
+            if any(name in later for later in formulas[i + 1 :]):
+                lines += f"{name} = {formula}", f"_set_{name}(self, {name})"
+            else:
+                lines.append(f"_set_{name}(self, {formula})")
+        body = "".join(f"\n    {line}" for line in lines)
         exec(f"def __init__(self, {', '.join(fields)}):{body}", scope)
         init = scope["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -131,26 +143,17 @@ class Var(Node):
 class App(Node):
     __match_args__ = ("fun", "arg")
     __slots__ = ("fun", "arg", "size", "height", "_fv")
-
-    def __init__(self, fun: "Term", arg: "Term") -> None:
-        _app_fun(self, fun)
-        _app_arg(self, arg)
-        _app_size(self, fun.size + arg.size + 1)
-        fun_height, arg_height = fun.height, arg.height
-        _app_height(self, (fun_height if fun_height > arg_height else arg_height) + 1)
-        _app_fv(self, None)
+    _derived = {
+        "size": "fun.size + arg.size + 1",
+        "height": "(fun.height if fun.height > arg.height else arg.height) + 1",
+        "_fv": "None",
+    }
 
 
 class Lam(Node):
     __match_args__ = ("binder", "body")
     __slots__ = ("binder", "body", "size", "height", "_fv")
-
-    def __init__(self, binder: str, body: "Term") -> None:
-        _lam_binder(self, binder)
-        _lam_body(self, body)
-        _lam_size(self, body.size + 1)
-        _lam_height(self, body.height + 1)
-        _lam_fv(self, None)
+    _derived = {"size": "body.size + 1", "height": "body.height + 1", "_fv": "None"}
 
 
 class Proj(Node):
@@ -175,15 +178,9 @@ class Index(Node):
     size = height = 1
 
 
-# The slot setters of App and Lam, whose __init__ methods compute their
-# cached fields.  A Node refuses attribute assignment; writing through the
-# slot descriptors is also cheaper than object.__setattr__.
-_app_fun, _app_arg, _app_size, _app_height, _app_fv = (
-    getattr(App, name).__set__ for name in ("fun", "arg", "size", "height", "_fv")
-)
-_lam_binder, _lam_body, _lam_size, _lam_height, _lam_fv = (
-    getattr(Lam, name).__set__ for name in ("binder", "body", "size", "height", "_fv")
-)
+# The writers of the free-variable memos, which free_vars fills after
+# construction.
+_app_fv, _lam_fv = App._fv.__set__, Lam._fv.__set__
 
 
 Term = Union[Var, App, Lam, Proj, Index]

@@ -88,19 +88,15 @@ class PPush(Node):
     around an empty hole: its `size`, the `frames` (pushes and binders) on
     the path to the hole, and its `height`.  A command adds its focus, so
     the growth guard reads the measures of the term a state plugs back to
-    in O(1)."""
+    in O(1).  `_derived` sets them when the push is built."""
 
     __match_args__ = ("arg", "rest")
     __slots__ = ("arg", "rest", "size", "frames", "height")
-
-    def __init__(self, arg: Term, rest: "PCoTerm") -> None:
-        _ppush_arg(self, arg)
-        _ppush_rest(self, rest)
-        _ppush_size(self, rest.size + arg.size + 1)
-        frames = rest.frames + 1
-        _ppush_frames(self, frames)
-        arg_height, rest_height = arg.height + frames, rest.height
-        _ppush_height(self, arg_height if arg_height > rest_height else rest_height)
+    _derived = {
+        "size": "rest.size + arg.size + 1",
+        "frames": "rest.frames + 1",
+        "height": "arg.height + frames if arg.height + frames > rest.height else rest.height",
+    }
 
 
 PCoTerm = Union[PStuck, PPush]
@@ -111,12 +107,6 @@ class PCommand(Node):
     size = property(lambda self: self.term.size + self.coterm.size)
     height = property(lambda self: max(self.term.height + self.coterm.frames, self.coterm.height))
 
-
-# The slot setters of PPush, whose __init__ computes its measures, as for
-# syntax.App and syntax.Lam.
-_ppush_arg, _ppush_rest, _ppush_size, _ppush_frames, _ppush_height = (
-    getattr(PPush, name).__set__ for name in ("arg", "rest", "size", "frames", "height")
-)
 
 TOP = PStuck(0)
 

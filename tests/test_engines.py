@@ -222,6 +222,13 @@ class TestStopPrecedence:
         assert (outcome.reason, outcome.betas) == ("work budget", self.K + 1)
 
 
+@pytest.fixture(scope="session")
+def golden():
+    """The pinned outcomes, read when a golden test first asks for them, so
+    the rest of this module runs without the file."""
+    return json.loads((Path(__file__).parent / "golden_outcomes.json").read_text(encoding="utf-8"))
+
+
 class TestGoldenOutcomes:
     """Every engine ends each corpus run the way it did when
     tests/golden_outcomes.json was written (by tests/make_golden_outcomes.py):
@@ -229,23 +236,21 @@ class TestGoldenOutcomes:
     fire at the same beta; the same printed result or last state and step
     count; and the same trace, event for event, on the first corpus terms."""
 
-    GOLDEN = json.loads((Path(__file__).parent / "golden_outcomes.json").read_text(encoding="utf-8"))
-
-    def test_engine_sets_match(self):
-        assert sorted(self.GOLDEN) == sorted(WH_ENGINE_NAMES + HEAD_ENGINE_NAMES + CONTROL_ENGINE_NAMES)
-        assert sorted(self.GOLDEN) == sorted(engine_names())
+    def test_engine_sets_match(self, golden):
+        assert sorted(golden) == sorted(WH_ENGINE_NAMES + HEAD_ENGINE_NAMES + CONTROL_ENGINE_NAMES)
+        assert sorted(golden) == sorted(engine_names())
 
     @pytest.mark.parametrize("name", WH_ENGINE_NAMES)
-    def test_weak_head(self, wh_outcomes, golden_traces, name):
-        assert golden_entry(wh_outcomes[name], golden_traces[name]) == self.GOLDEN[name]
+    def test_weak_head(self, golden, wh_outcomes, golden_traces, name):
+        assert golden_entry(wh_outcomes[name], golden_traces[name]) == golden[name]
 
     @pytest.mark.parametrize("name", HEAD_ENGINE_NAMES)
-    def test_head(self, head_outcomes, golden_traces, name):
-        assert golden_entry(head_outcomes[name], golden_traces[name]) == self.GOLDEN[name]
+    def test_head(self, golden, head_outcomes, golden_traces, name):
+        assert golden_entry(head_outcomes[name], golden_traces[name]) == golden[name]
 
     @pytest.mark.parametrize("name", CONTROL_ENGINE_NAMES)
-    def test_control(self, control_outcomes, golden_traces, name):
-        assert golden_entry(control_outcomes[name], golden_traces[name]) == self.GOLDEN[name]
+    def test_control(self, golden, control_outcomes, golden_traces, name):
+        assert golden_entry(control_outcomes[name], golden_traces[name]) == golden[name]
 
 
 class TestHeadMachineIsWeakHeadPlusOneRule:

@@ -263,8 +263,8 @@ class TestPersistence:
 
 
 class TestStateValues:
-    """The hand-written constructors of the state classes build the same
-    values the generated ones did."""
+    """The Node constructors of the state classes build the same values
+    the dataclasses they replaced did."""
 
     @staticmethod
     def _build():

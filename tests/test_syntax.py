@@ -532,14 +532,35 @@ class TestNode:
             with pytest.raises(TypeError):
                 Triple(*args, **kwargs)
 
-    def test_a_cached_slot_needs_a_written_constructor(self):
-        # A generated constructor would leave the cache slot unset.
-        with pytest.raises(TypeError, match="outside __match_args__"):
+    def test_node_writes_the_constructor_of_a_record_with_derived_slots(self):
+        class Span(Node):
+            __match_args__ = ("start", "stop")
+            __slots__ = ("start", "stop", "length", "double", "_memo")
+            # `double` reads `length`, the derived slot listed before it.
+            _derived = {"length": "stop - start", "double": "length * 2", "_memo": "None"}
+
+        span = Span(3, stop=7)
+        assert (span.start, span.stop, span.length, span.double, span._memo) == (3, 7, 4, 8, None)
+        assert span == Span(3, 7) and repr(span).endswith("Span(start=3, stop=7)")
+        assert tuple(inspect.signature(Span).parameters) == ("start", "stop")
+        assert Span.__init__.__code__.co_filename == "<string>"
+
+    def test_a_slot_neither_value_nor_derived_is_refused(self):
+        # A generated constructor would leave the slot unset.
+        with pytest.raises(TypeError, match="outside __match_args__ and _derived"):
 
             class Cached(Node):
                 __match_args__ = ("value",)
                 __slots__ = ("value", "_memo")
 
+        with pytest.raises(TypeError, match="outside __match_args__ and _derived"):
+
+            class Misspelt(Node):
+                __match_args__ = ("value",)
+                __slots__ = ("value", "_memo")
+                _derived = {"_mem": "None"}
+
+        # A record that writes its own constructor declares nothing more.
         class Written(Node):
             __match_args__ = ("value",)
             __slots__ = ("value", "_memo")
@@ -550,12 +571,9 @@ class TestNode:
 
         assert Written(1) == Written(1) and Written(1)._memo is None
 
-    def test_only_records_with_defaults_write_a_value_only_constructor(self):
-        # Every other record whose slots are its value fields has the
-        # constructor Node generates, compiled from source text.
-        written = [
-            c.__name__
-            for c in NODE_CLASSES
-            if set(c.__slots__) == set(c.__match_args__) and c.__init__.__code__.co_filename != "<string>"
-        ]
-        assert written == ["FuelExhausted", "Trace", "GenConfig"]
+    def test_only_fuel_exhausted_writes_its_constructor(self):
+        # Every other record, cached slots or not, has the constructor Node
+        # generates, compiled from source text; FuelExhausted gives its
+        # `reason` a default.
+        written = [c.__name__ for c in NODE_CLASSES if c.__init__.__code__.co_filename != "<string>"]
+        assert written == ["FuelExhausted"]
