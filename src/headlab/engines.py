@@ -179,9 +179,9 @@ class Engine:
     beta_rules: frozenset[str] = frozenset(("beta",))
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
     # chain(state, limit) -> (n, state'): n <= limit non-beta transitions in
-    # one jump (envmachine.env_lookups); untraced runs only.  An untraced
-    # stepping row without it, and every big-step row, gets the cycle jump
-    # of `FuelMeter.watch` instead.
+    # one jump (envmachine.env_lookups); untraced runs only.  Every untraced
+    # stepping row, with or without it, and every big-step row also gets the
+    # period jump of `FuelMeter.watch`.
     chain: Optional[Callable[[object, int], tuple[int, object]]] = None
 
 
@@ -442,10 +442,14 @@ def evaluate(
     MAX_STATE_NODES, MAX_STATE_DEPTH and MAX_TOTAL_WORK at each call.
 
     Every run counts on one FuelMeter, and any guard stop becomes
-    FuelExhausted.  An untraced run of a stepping row without `chain`, and
-    each big-step loop, lets the meter skip whole periods of a run whose
-    state repeats (`FuelMeter.watch`); the state after the skip equals the
-    state before it, so the outcome is the one stepping gives.
+    FuelExhausted.  An untraced run of a stepping row, and each big-step
+    loop, lets the meter skip whole periods of a run whose state repeats
+    (`FuelMeter.watch`); the state after the skip equals the state before
+    it.  An environment machine's run may instead grow one renaming chain
+    by a fixed template each period: `envmachine.period_template` learns
+    it, the meter checks it on two more periods, and the skip stacks the
+    template's links on the state.  Either way the outcome is the one
+    stepping gives.
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
@@ -468,7 +472,9 @@ def evaluate(
             beta_rules = eng.beta_rules
             # A traced run steps every transition, since each is an event.
             chain = eng.chain if tr is None else None
-            detect = tr is None and eng.chain is None
+            # An environment machine's state may grow by renaming links
+            # instead of repeating; envmachine learns how.
+            learn = envmachine.period_template if isinstance(state, envmachine.ECommand) else None
             mark = None
             while True:
                 if chain is not None:
@@ -489,8 +495,8 @@ def evaluate(
                     meter.contract(steps - charged + size)
                     if size > MAX_STATE_NODES or depth > MAX_STATE_DEPTH:
                         raise OutOfFuel("work")
-                    if detect:
-                        mark = meter.watch(state, mark)
+                    if tr is None:
+                        state, mark = meter.watch(state, mark, learn)
                     charged = steps
                     cap = steps + meter.work_limit - meter.work
                 elif steps > cap:

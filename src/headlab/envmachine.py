@@ -19,6 +19,12 @@ pair depends only on the closure and filling it is an idempotent cache, as
 the term nodes' free-variable memos are.  `env_lookups` takes a whole chain
 in one jump for an untraced run, and `force` jumps it instead of recursing
 once per link.
+
+Such a run does not repeat: each period adds a link to a chain.  But an
+untraced run reads a chain only as (hops, end), so the periods repeat up to
+their lookup counts.  `period_template` finds the renaming links one period
+stacks on the state, and `FuelMeter.watch` skips whole periods by stacking
+them k times at once.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Union
 
+from .fuel import repeat
 from .syntax import App, Lam, Node, Proj, Term, Var, all_names, fresh, split_stack, subst
 from .weakhead import TOP, PCommand, PPush, PStuck, PCoTerm
 
@@ -35,6 +42,7 @@ __all__ = [
     "Env",
     "env_lookup",
     "env_lookups",
+    "period_template",
     "EPush",
     "ECoTerm",
     "ECommand",
@@ -90,9 +98,11 @@ class ECommand(Node):
     __slots__ = __match_args__ = ("term", "env", "coterm")
     # Every state counts as one node, so only the growth guard's work cap
     # stops a diverging run, at engines.MAX_TOTAL_WORK transitions (55 and
-    # 57 corpus runs of env-krivine and env-head end so); an untraced run
-    # takes each lookup chain in one jump (env_lookups), so those runs cost
-    # about their betas.  A shared measure is item 7 of ROADMAP.md.
+    # 57 corpus runs of env-krivine and env-head end so).  An untraced run
+    # takes each lookup chain in one jump (env_lookups), and skips whole
+    # periods of a run that grows a renaming chain (period_template), so
+    # 37 of each row's runs cost a few periods and the rest about their
+    # betas.  A shared measure is item 7 of ROADMAP.md.
     size = height = 1
 
 
@@ -139,6 +149,96 @@ def env_lookups(c: ECommand, limit: int) -> tuple[int, ECommand]:
     for _ in range(limit - 1):
         end = env_lookup(end.env, end.term.name)
     return limit, ECommand(end.term, end.env, c.coterm)
+
+
+def period_template(mark: ECommand, now: ECommand, nodes: int) -> tuple:
+    """How `now`, a state some betas after `mark`, is `mark` grown by
+    renaming links: the learner `FuelMeter.watch` calls for these machines.
+
+    Call a closure whose term is a variable bound in its own environment
+    transparent.  An untraced run reads one only through `_chain_of`, as
+    (hops, end), so two states whose collapsed shapes (every transparent
+    closure read as its chain end) are equal take the same rules in the
+    same order, and only their lookup counts differ.  The walk compares
+    the two states field by field and skips the subtrees they share.
+    Where a closure of `now` differs from `mark`'s, `now`'s must reach
+    `mark`'s through renaming links, each `Closure(x, Binding(x, ., None))`:
+    a context that holds no env record off the hole's path and keeps the
+    chain end.  Everything else must be equal, so the collapsed shapes are.
+
+    The watch calls it only when both states focus the same term object.
+    Returns (template, nodes visited).  The template is None when the
+    states differ otherwise or when the walk would visit more than `nodes`
+    nodes; `repeat` when they are equal; else a `stack(state, k)` that
+    stacks each context k more times.
+    """
+    # Stacks of different depths are the commonest miss: find it before
+    # the walk, which would first compare the closures pushed on them.
+    a, b, visited = mark.coterm, now.coterm, 0
+    while type(a) is EPush and type(b) is EPush and a is not b and visited < nodes:
+        a, b, visited = a.rest, b.rest, visited + 1
+    if type(a) is not type(b) or visited == nodes:
+        return None, visited + 1
+    grown = []  # (path to a closure, the terms of its new links, outermost first)
+    todo = [(mark, now, None)]  # unshared pairs; paths are (parent path, field) pairs
+    while todo:
+        a, b, at = todo.pop()
+        visited += 1
+        cls = type(a)
+        if visited > nodes or cls is not type(b):
+            return None, visited
+        if cls is Closure and type(b.term) is Var:
+            depth = _chain_of(b)[0] - _chain_of(a)[0]
+            if depth > 0:
+                visited += depth
+                if visited > nodes:
+                    return None, visited
+                links, c = [], b
+                for _ in range(depth):
+                    env = c.env
+                    if env.name != c.term.name or env.rest is not None:
+                        break
+                    links.append(c.term)
+                    c = env.value
+                if c is a:
+                    grown.append((at, links))
+                    continue
+        fields = getattr(cls, "__match_args__", None)
+        if fields is None:
+            if a != b:
+                return None, visited
+        else:
+            for f in fields:
+                x, y = getattr(a, f), getattr(b, f)
+                if x is not y:
+                    todo.append((x, y, (at, f)))
+    if not grown:
+        return repeat, visited
+    places = []
+    for at, links in grown:
+        path = []
+        while at is not None:
+            at, field = at
+            path.append(field)
+        places.append((path[::-1], links))
+
+    def stack(state: ECommand, k: int) -> ECommand:
+        for path, links in places:
+            spine = [state]
+            for field in path:
+                spine.append(getattr(spine[-1], field))
+            node = spine.pop()
+            for _ in range(k):
+                for term in reversed(links):
+                    node = Closure(term, Binding(term.name, node, None))
+            # Rebuild the ancestors once, around the stacked closure.
+            for field in reversed(path):
+                parent = spine.pop()
+                node = type(parent)(*[node if f == field else getattr(parent, f) for f in parent.__match_args__])
+            state = node
+        return state
+
+    return stack, visited
 
 
 class ForceBudgetExceeded(Exception):

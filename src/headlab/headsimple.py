@@ -151,7 +151,7 @@ def bigstep_sestoft(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) 
                     t = subst(fun_wh.body, fun_wh.binder, arg)
                     fuel.contract(term_metrics(t)[0])
                     if log is None:
-                        mark = fuel.watch(t, mark)
+                        t, mark = fuel.watch(t, mark)
                 else:
                     return App(fun_wh, arg)
             case _:

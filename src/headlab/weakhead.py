@@ -165,6 +165,6 @@ def bigstep_wh(t: Term, fuel: FuelMeter, log: Optional[list[Term]] = None) -> Te
             t = subst(fun.body, fun.binder, t.arg)
             fuel.contract(term_metrics(t)[0])
             if log is None:
-                mark = fuel.watch(t, mark)
+                t, mark = fuel.watch(t, mark)
         else:
             return App(fun, t.arg)

@@ -373,7 +373,9 @@ def spy_repeats(monkeypatch, module):
     return found
 
 
-# The rows the cycle jump covers: every stepping row without `chain`.
+# The rows whose guard runs repeat exactly: every stepping row without
+# `chain`.  The env rows' runs grow renaming chains instead, and
+# tests/test_envmachine.py checks their period jump.
 CYCLE_ROWS = tuple(n for n, e in ENGINES.items() if e.step is not None and e.chain is None)
 # Its states repeat every 3 betas, after one to three betas that do not.
 PERIOD_3_TERM = r"(\x.x x) (\x.x) (\x.x x) ((\x.x) ((\x.x) (\x.x x)))"

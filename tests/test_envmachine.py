@@ -186,10 +186,10 @@ class TestChainJump:
     @pytest.mark.parametrize("name", ENV_ENGINES)
     def test_guard_terms_match_the_stepping_row(self, corpus120, monkeypatch, name):
         # Without `chain` the untraced loop steps every lookup, as a traced
-        # run does, minus the renders.  A row without `chain` also watches
-        # for a repeated state; the patched comparison finds none, which
-        # spares the reference a comparison through the environment at
-        # every beta (ECommand measures every state as (1, 1)).
+        # run does, minus the renders.  The meter checks every period it
+        # would skip with `same_tree`, an exact repeat as well as a grown
+        # renaming chain (TestPeriodJump); the patched comparison passes
+        # none, so the reference steps every period too.
         jumped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=None))
         monkeypatch.setattr(fuel, "same_tree", lambda a, b: False)
@@ -249,6 +249,151 @@ class TestChainJump:
         assert env_lookups(state, 10) == (2, end)
         assert env_lookups(state, 1) == (1, ECommand(Var("y"), env.value.env, PStuck(0)))
         assert env_krivine_step(end) is None and env_lookups(end, 10) == (0, end)
+
+
+def jumps_seen(monkeypatch):
+    """The (betas before, betas after) of every jump the fuel meter makes."""
+    seen = []
+    jump = fuel.FuelMeter._jump
+
+    def spy(meter, *args):
+        before = meter.betas
+        result = jump(meter, *args)
+        seen.append((before, meter.betas))
+        return result
+
+    monkeypatch.setattr(fuel.FuelMeter, "_jump", spy)
+    return seen
+
+
+def skipped(seen) -> bool:
+    return any(after > before for before, after in seen)
+
+
+def no_period_jump(monkeypatch):
+    """Switch off every period jump: the meter checks each with `same_tree`
+    first.  The chain jump stays, so a reference run costs about its betas
+    (TestChainJump checks the chain jump against single lookups)."""
+    monkeypatch.setattr(fuel, "same_tree", lambda a, b: False)
+
+
+# A guard-hitting corpus term whose env runs grow in a shape the period
+# template does not cover, so they step to the work cap.
+UNCOVERED = 482
+
+
+class TestPeriodJump:
+    """An untraced env run whose periods only add links to renaming chains
+    skips whole periods once it has checked the template on two of them;
+    the same run with the period jump switched off is the reference."""
+
+    @staticmethod
+    def guard_forms(corpus120):
+        guards = [corpus120[i] for i in GUARD_INDICES]
+        return [form for t in guards for form in (t, App(t, Var("y")), App(t, Var("x")))]
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_guard_terms_match_the_stepping_run(self, corpus120, monkeypatch, name):
+        runs = [(t, budget) for t in self.guard_forms(corpus120) for budget in (*range(1, 13), CORPUS_FUEL)]
+        jumped = [evaluate(t, name, budget)[0] for t, budget in runs]
+        no_period_jump(monkeypatch)
+        assert jumped == [evaluate(t, name, budget)[0] for t, budget in runs]
+
+    def test_every_corpus_guard_run_jumps(self, corpus120, monkeypatch):
+        seen = jumps_seen(monkeypatch)
+        for name in ENV_ENGINES:
+            for i in GUARD_INDICES:
+                seen.clear()
+                outcome = evaluate(corpus120[i], name, CORPUS_FUEL)[0]
+                assert isinstance(outcome, FuelExhausted) and outcome.reason == "work budget"
+                assert skipped(seen), (name, i)
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_work_cap_sweep(self, corpus120, monkeypatch, name):
+        # GUARD_TERM's period is one beta, corpus term 81's two.
+        terms = (T(GUARD_TERM), corpus120[81])
+        caps = (*range(1, 400), *range(400, 20_000, 97))
+        seen = jumps_seen(monkeypatch)
+        jumped, inside = [], 0
+        for term in terms:
+            for cap in caps:
+                monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
+                seen.clear()
+                outcome = evaluate(term, name, CORPUS_FUEL)[0]
+                assert isinstance(outcome, FuelExhausted) and outcome.reason == "work budget"
+                jumped.append(outcome)
+                # The run stepped on past the end of its skip, so the cap
+                # fell inside a later period.
+                if skipped(seen) and outcome.betas > seen[-1][1]:
+                    inside += 1
+        assert inside
+        no_period_jump(monkeypatch)
+        stepped = []
+        for term in terms:
+            for cap in caps:
+                monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
+                stepped.append(evaluate(term, name, CORPUS_FUEL)[0])
+        assert jumped == stepped
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_a_run_the_template_does_not_cover(self, corpus1000, monkeypatch, name):
+        seen = jumps_seen(monkeypatch)
+        jumped = evaluate(corpus1000[UNCOVERED], name, CORPUS_FUEL)[0]
+        assert isinstance(jumped, FuelExhausted) and jumped.reason == "work budget"
+        assert not skipped(seen)
+        no_period_jump(monkeypatch)
+        assert jumped == evaluate(corpus1000[UNCOVERED], name, CORPUS_FUEL)[0]
+
+
+# Ω grows one renaming link per beta under both env rows.
+OMEGA = r"(\x.x x) (\x.x x)"
+
+
+def omega_work(n: int) -> int:
+    """The work both env rows have charged on Ω at its n-th beta.  The first
+    beta costs a push, a bind and the state's one node; the n-th a push,
+    n - 1 lookups down the chain, a bind and the node."""
+    return 3 + (n - 1) * n // 2 + 3 * (n - 1)
+
+
+def omega_stop(cap: int) -> int:
+    """The beta at which the work cap `cap` stops both env rows on Ω.  After
+    the last beta N whose work fits, the next period's push and N lookups
+    take N + 1 more: if they fit, its bind is beta N + 1 and passes the cap."""
+    n = 1
+    while omega_work(n + 1) <= cap:
+        n += 1
+    return n + 1 if omega_work(n) + n + 1 <= cap else n
+
+
+class TestOmegaFamily:
+    """Ω's work per beta grows by one each beta, so where a work cap or a
+    beta budget stops it has a closed form, which pins the arithmetic of
+    the period jump (ROADMAP item 16)."""
+
+    def test_the_default_cap_stops_omega_at_beta_997(self):
+        assert omega_stop(500_000) == 997
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_work_cap_and_fuel_stop_at_the_predicted_beta(self, monkeypatch, name):
+        term = T(OMEGA)
+        for cap in (*range(3, 2_001), 500_000):
+            monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
+            stop = omega_stop(cap)
+            outcome = evaluate(term, name, CORPUS_FUEL)[0]
+            assert isinstance(outcome, FuelExhausted)
+            assert (outcome.betas, outcome.reason) == (stop, "work budget"), cap
+            # A beta budget below the stop beta ends the run first.
+            for budget in {1, stop // 2, stop - 1} & set(range(1, stop)):
+                outcome = evaluate(term, name, budget)[0]
+                assert (outcome.betas, outcome.reason) == (budget, "beta budget")
+
+    @pytest.mark.parametrize("name", ENV_ENGINES)
+    def test_the_jump_fires_under_a_large_cap(self, monkeypatch, name):
+        seen = jumps_seen(monkeypatch)
+        outcome = evaluate(T(OMEGA), name, CORPUS_FUEL)[0]
+        assert (outcome.betas, outcome.reason) == (997, "work budget")
+        assert skipped(seen)
 
 
 class TestPersistence:
