@@ -6,7 +6,9 @@ call.  The registry is one table of `Engine` rows, each naming its own
 rules; the plumbing they share is written once here.  There is one
 readback driver, `_machine_readback`: it applies a machine's readback
 step until that says ("done", term), and it refuses a term that still
-holds a projection or an index.
+holds a projection or an index.  It hands each state it passes to an
+`emit`, and `evaluate` prints every event, load, reduce and readback,
+with the row's `render`.
 
 Fuel is counted in beta contractions for every engine, because that is
 the one cost unit all of them share; the non-beta transitions between
@@ -19,7 +21,7 @@ exhaustion, the same outcome plain divergence gets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Optional, Union
 
@@ -112,7 +114,7 @@ class Trace(Node):
         self.events.append(TraceEvent(len(self.events), phase, rule, state))
 
 
-Emit = Callable[[str, str], None]
+Emit = Callable[[str, object], None]  # emit(rule, state); evaluate renders the state
 Readback = Callable[[object, Optional[Emit], Optional[int]], Term]
 
 
@@ -129,43 +131,39 @@ def _done(t: Term) -> tuple[str, Term]:
     return "done", t
 
 
-def _machine_readback(step_fn, render) -> Readback:
+def _machine_readback(step_fn, state, emit: Optional[Emit], budget: Optional[int]) -> Term:
     """The one readback driver: apply `step_fn` until it says ("done", term).
 
     The term must be pure: a Proj or Index left in it means the run reached
-    an illegal state, and that raises IllegalStateError.  Each state is
-    rendered only when there is an `emit` to hand it to.  bench/layers.py
-    rebuilds this closure around a timed printer: it finds the inner
-    function by its qualname and reads `step_fn` and `render` off its free
-    variables, so the driver keeps exactly these two parameters.
+    an illegal state, and that raises IllegalStateError.  Every state after
+    a step, and the term at "done", goes to `emit` when there is one.  A row
+    binds its step with `partial`; `budget` is unused here, and is in the
+    signature because the environment rows' readback forces under it.
     """
-
-    def readback(state, emit: Optional[Emit], budget: Optional[int]) -> Term:
-        while True:
-            rule, nxt = step_fn(state)
-            if rule == "done":
-                if not is_pure(nxt):
-                    raise IllegalStateError(f"projection or index survived readback: {print_term(nxt)}")
-                if emit is not None:
-                    emit("done", print_term(nxt))
-                return nxt
-            state = nxt
+    while True:
+        rule, nxt = step_fn(state)
+        if rule == "done":
+            if not is_pure(nxt):
+                raise IllegalStateError(f"projection or index survived readback: {print_term(nxt)}")
             if emit is not None:
-                emit(rule, render(state))
+                emit("done", nxt)
+            return nxt
+        state = nxt
+        if emit is not None:
+            emit(rule, state)
 
-    return readback
 
-
-_term_readback = _machine_readback(_done, print_term)
+_proj_readback = partial(_machine_readback, projection.proj_readback_step)
 
 
 @dataclass(frozen=True, kw_only=True)
 class Engine:
     """One registry row: exactly one of `step` and `bigstep`, plus whichever
     of load, halt, readback, render and metrics differ from the defaults
-    (a big-step row needs none).  Untraced, `readback` gets emit=None.
-    Unlike the other records it is a dataclass, because bench/layers.py
-    and the tests derive rows from it with `dataclasses.replace`."""
+    (a big-step row needs none).  `render` prints every traced state, a
+    readback's included; untraced, `readback` gets emit=None.  Unlike the
+    other records it is a dataclass: the registry, bench/layers.py and the
+    tests derive rows from others with `dataclasses.replace`."""
 
     name: str
     strategy: str  # "weak-head" | "head" | "control"
@@ -173,16 +171,14 @@ class Engine:
     load: Callable[[Term], object] = _identity
     step: Optional[Callable[[object], Optional[tuple[str, object]]]] = None
     halt: Callable[[object], tuple[str, str]] = _always_normal
-    readback: Readback = _term_readback
+    readback: Readback = partial(_machine_readback, _done)
     render: Callable[[object], str] = print_state
     metrics: Callable[[object], tuple[int, int]] = term_metrics
-    beta_rules: frozenset[str] = frozenset(("beta",))
     bigstep: Optional[Callable[[Term, FuelMeter, Optional[list]], Term]] = None
-    # chain(state, limit) -> (n, state'): n <= limit non-beta transitions in
-    # one jump (envmachine.env_lookups); untraced runs only.  Every untraced
-    # stepping row, with or without it, and every big-step row also gets the
-    # period jump of `FuelMeter.watch`.
-    chain: Optional[Callable[[object, int], tuple[int, object]]] = None
+
+    # The rules that count against the fuel; only the env rows emit "bind",
+    # and they never emit "beta".  Not a field: bench/layers.py reads it.
+    beta_rules = frozenset(("beta", "bind"))
 
 
 class UnknownEngineError(ValueError):
@@ -220,21 +216,12 @@ def _beta_step(fn: Callable[[Term], Optional[Term]]) -> Callable[[Term], Optiona
 # --- environment and control engines ------------------------------------------
 
 
-def _env_readback(coalesced: bool) -> Readback:
-    """Readback of an environment machine.  Forcing the focus and every
+def _env_readback(c: envmachine.ECommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
+    """Readback of either environment machine.  Forcing the focus and every
     stacked closure turns the state into a projection-machine state, whose
     readback folds any leftover arguments back on (only open programs
-    leave any); `coalesced` is how those states print.  As in
-    `_control_readback`, `print_state` is looked up at each call, so the
-    per-layer timer of bench/layers.py, which rebinds it, sees these
-    renders."""
-
-    def readback(c: envmachine.ECommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
-        forced = envmachine.as_forced_command(c, budget)
-        render = partial(print_state, coalesced=coalesced)
-        return _machine_readback(projection.proj_readback_step, render)(forced, emit, budget)
-
-    return readback
+    leave any)."""
+    return _proj_readback(envmachine.as_forced_command(c, budget), emit, budget)
 
 
 def _control_load(t: Term) -> control.CCommand:
@@ -246,23 +233,23 @@ def _control_readback(c: control.CCommand, emit: Optional[Emit], budget: Optiona
     the substitution machine it simulates, reads back by the projection
     machine's step.  A control-krivine state never holds a projection, so
     for it that step only pops, as krivine's readback does."""
-    state = control.as_projection_command(c)
-    return _machine_readback(projection.proj_readback_step, print_state)(state, emit, budget)
+    return _proj_readback(control.as_projection_command(c), emit, budget)
 
 
 # --- registry -----------------------------------------------------------------
 
-# Coalescing is a rendering: head-coalesced and head-debruijn run the rules
-# of head-proj and head-os-derived and print the same states with counts
-# (pick/drop offsets, a \^n. binder prefix); env-head prints so too.
+# Coalescing is a rendering: head-coalesced and head-debruijn are the rows
+# of head-proj and head-os-derived with a new name and `render`, which
+# prints the same states with counts (pick/drop offsets, a \^n. binder
+# prefix); env-head prints so too.
 _coalesced = partial(print_state, coalesced=True)
 
 # Fields left out take the Engine defaults: identity load, a halt that
 # calls every state normal, the term readback, the measure every state
 # carries (term_metrics), and print_state, which prints a bare term with
-# print_term.  No row sets `metrics`; bench/layers.py swaps it for a timed
-# copy.
-ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
+# print_term, coalesced or not.  No row sets `metrics`; bench/layers.py
+# swaps it for a timed copy.
+_ROWS = (
     Engine(
         name="wh-os",
         strategy="weak-head",
@@ -276,7 +263,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=weakhead.krivine_load,
         step=weakhead.krivine_step,
         halt=_halt_unless(weakhead.krivine_terminal),
-        readback=_machine_readback(weakhead.krivine_readback_step, print_state),
+        readback=partial(_machine_readback, weakhead.krivine_readback_step),
     ),
     Engine(
         name="wh-bigstep",
@@ -291,9 +278,7 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=envmachine.env_krivine_load,
         step=envmachine.env_krivine_step,
         halt=envmachine.env_krivine_halt,
-        readback=_env_readback(coalesced=False),
-        beta_rules=frozenset(("bind",)),
-        chain=envmachine.env_lookups,
+        readback=_env_readback,
     ),
     Engine(
         name="head-os",
@@ -308,42 +293,35 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=headsimple.abs_load,
         step=headsimple.abs_machine_step,
         halt=_halt_unless(headsimple.abs_terminal),
-        readback=_machine_readback(headsimple.abs_readback_step, print_state),
+        readback=partial(_machine_readback, headsimple.abs_readback_step),
     ),
-    Engine(
+    _head_proj := Engine(
         name="head-proj",
         strategy="head",
         description="projection-based head machine over stuck co-terms",
         load=weakhead.krivine_load,
         step=projection.proj_step,
         halt=_halt_unless(projection.proj_terminal),
-        readback=_machine_readback(projection.proj_readback_step, print_state),
+        readback=_proj_readback,
     ),
-    Engine(
+    _head_os_derived := Engine(
         name="head-os-derived",
         strategy="head",
         description="index-form small-step head reduction with an anonymous binder prefix",
         load=partial(projection.TopTerm, 0),
         step=projection.derived_step,
-        readback=_machine_readback(projection.derived_readback_step, print_state),
+        readback=partial(_machine_readback, projection.derived_readback_step),
     ),
-    Engine(
+    replace(
+        _head_proj,
         name="head-coalesced",
-        strategy="head",
         description="head machine with projection chains coalesced into numeric offsets",
-        load=weakhead.krivine_load,
-        step=projection.proj_step,
-        halt=_halt_unless(projection.proj_terminal),
-        readback=_machine_readback(projection.proj_readback_step, _coalesced),
         render=_coalesced,
     ),
-    Engine(
+    replace(
+        _head_os_derived,
         name="head-debruijn",
-        strategy="head",
         description="small-step head reduction with a counted top-level binder prefix",
-        load=partial(projection.TopTerm, 0),
-        step=projection.derived_step,
-        readback=_machine_readback(projection.derived_readback_step, _coalesced),
         render=_coalesced,
     ),
     Engine(
@@ -365,10 +343,8 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         load=envmachine.env_krivine_load,
         step=envmachine.env_head_step,
         halt=envmachine.env_head_halt,
-        readback=_env_readback(coalesced=True),
+        readback=_env_readback,
         render=_coalesced,
-        beta_rules=frozenset(("bind",)),
-        chain=envmachine.env_lookups,
     ),
     Engine(
         name="control-krivine",
@@ -388,7 +364,8 @@ ENGINES: dict[str, Engine] = {engine.name: engine for engine in (
         halt=partial(control.control_halt, projective=True),
         readback=_control_readback,
     ),
-)}
+)
+ENGINES: dict[str, Engine] = {engine.name: engine for engine in _ROWS}
 
 WH_ENGINE_NAMES = tuple(n for n, e in ENGINES.items() if e.strategy == "weak-head")
 HEAD_ENGINE_NAMES = tuple(n for n, e in ENGINES.items() if e.strategy == "head")
@@ -448,8 +425,9 @@ def evaluate(
     it.  An environment machine's run may instead grow one renaming chain
     by a fixed template each period: `envmachine.period_template` learns
     it, the meter checks it on two more periods, and the skip stacks the
-    template's links on the state.  Either way the outcome is the one
-    stepping gives.
+    template's links on the state.  Untraced, an environment machine also
+    takes each lookup chain in one jump (`envmachine.env_lookups`).  The
+    outcome is always the one stepping gives.
     """
     eng = get_engine(engine)
     budget = resolve_fuel(fuel)
@@ -470,11 +448,13 @@ def evaluate(
             cap = meter.work_limit
             step_fn = eng.step
             beta_rules = eng.beta_rules
-            # A traced run steps every transition, since each is an event.
-            chain = eng.chain if tr is None else None
-            # An environment machine's state may grow by renaming links
-            # instead of repeating; envmachine learns how.
-            learn = envmachine.period_template if isinstance(state, envmachine.ECommand) else None
+            # An environment machine takes each lookup chain in one jump,
+            # and its state may grow by renaming links instead of
+            # repeating; envmachine learns how.  A traced run steps every
+            # transition, since each is an event.
+            env = isinstance(state, envmachine.ECommand)
+            chain = envmachine.env_lookups if env and tr is None else None
+            learn = envmachine.period_template if env else None
             mark = None
             while True:
                 if chain is not None:
@@ -511,7 +491,7 @@ def evaluate(
     kind, reason = eng.halt(state)
     if kind == "stuck":
         return Stuck(reason, _render_capped(eng, state)), tr
-    emit = None if tr is None else partial(tr.add, "readback")
+    emit = None if tr is None else lambda rule, s: tr.add("readback", rule, eng.render(s))
     try:
         result = eng.readback(state, emit, MAX_STATE_NODES)
     except envmachine.ForceBudgetExceeded:

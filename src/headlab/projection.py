@@ -15,12 +15,15 @@ readback is the Krivine readback plus one move, `lambda`, which undoes a
 The paper's coalescing step, which replaces a chain of projections and a
 prefix of binders with a count, needs no machine of its own: `PStuck`,
 `Proj` and `TopTerm` already hold that count as one integer.  The
-head-coalesced and head-debruijn engines run these rules and differ only
-in printing (`pretty.print_state(..., coalesced=True)`).
+head-coalesced and head-debruijn engines are the head-proj and
+head-os-derived rows with another `render`
+(`pretty.print_state(..., coalesced=True)`).
 
 Each artifact has a readback step that ends in ("done", term); the
 engines' one driver (`engines._machine_readback`) runs it to the end and
-checks that no projection or index is left.  `translate_star` runs the
+checks that no projection or index is left.  The stack machine's step is
+the readback of head-proj, head-coalesced, both environment machines
+and both control machines.  `translate_star` runs the
 index form's readback on its own, because it is the paper's translation.
 """
 

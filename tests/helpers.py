@@ -16,7 +16,7 @@ import random
 from headlab.control import CApp, Case, CCommand, CoVar, CPush, CStuckCo, Mu
 from headlab.engines import _machine_readback
 from headlab.headsimple import HStuck
-from headlab.pretty import print_state, print_term
+from headlab.pretty import print_term
 from headlab.projection import TopTerm
 from headlab.syntax import App, Index, Lam, Proj, Term, Var
 from headlab.weakhead import PCommand, PPush
@@ -207,7 +207,7 @@ GUARD_TERM = r"(\x.x x) (\x.x x) (\x y.x)"
 def read_back(step_fn, state) -> Term:
     """Apply a readback step function to `state` until it is done, with the
     engines' one readback driver, and return the term it reads back."""
-    return _machine_readback(step_fn, print_state)(state, lambda rule, rendering: None, None)
+    return _machine_readback(step_fn, state, lambda rule, s: None, None)
 
 
 # ---------------------------------------------------------------------------

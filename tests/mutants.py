@@ -28,10 +28,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The tier-1 files that exercise the fuel meter, the jumps and the engine
-# groups, less the one class that reads the golden file.
+# The tier-1 files that exercise the fuel meter, the jumps, the engine
+# groups and the readback steps, less the one class that reads the golden
+# file.
 TIER1 = (
     "tests/test_envmachine.py", "tests/test_engines.py", "tests/test_acceptance.py",
+    "tests/test_weakhead.py", "tests/test_headsimple.py", "tests/test_projection.py",
     "--deselect", "tests/test_engines.py::TestGoldenOutcomes",
 )
 
@@ -85,6 +87,42 @@ MUTANTS = (
         if self.betas > self.limit:
             raise OutOfFuel("beta")""",
         "contract checks the work cap before the beta budget",
+    ),
+    (
+        "engines.py",
+        "            if not is_pure(nxt):",
+        "            if False:",
+        "the readback driver lets a projection or an index through",
+    ),
+    (
+        "engines.py",
+        'tr.add("readback", rule, eng.render(s))',
+        'tr.add("readback", rule, print_state(s))',
+        "readback events print with print_state, not the row's render",
+    ),
+    (
+        "engines.py",
+        'beta_rules = frozenset(("beta", "bind"))',
+        'beta_rules = frozenset(("beta",))',
+        "an environment machine's bind does not count as a beta",
+    ),
+    (
+        "projection.py",
+        "body = replace_atom(c.term, Proj(depth - 1), x)",
+        "body = replace_atom(c.term, Proj(0), x)",
+        "projection readback binds Proj(0) instead of the deepest projection",
+    ),
+    (
+        "headsimple.py",
+        "Lam(binders[0], c.term), HStuck(binders[1:])",
+        "Lam(binders[-1], c.term), HStuck(binders[:-1])",
+        "abs_readback_step reattaches the binders in reverse order",
+    ),
+    (
+        "envmachine.py",
+        "name = fresh(all_names(forced) - {marker}, binder)",
+        "name = binder",
+        "force keeps the binder's name, which can capture",
     ),
 )
 

@@ -15,6 +15,8 @@ from headlab.engines import (
     WH_ENGINE_NAMES,
     FuelExhausted,
     Normal,
+    Stuck,
+    engine_names,
     evaluate,
 )
 from headlab.fuel import FuelMeter, OutOfFuel
@@ -91,14 +93,19 @@ def test_criterion_3_coalesced_golden_trace(tmp_path, capsys):
 def test_criterion_4_trilemma():
     omega = T(OMEGA)
     guarded = T(rf"\x.({OMEGA}) x")
-    outcome, _ = evaluate(guarded, "krivine", 1000)
-    assert isinstance(outcome, Normal) and outcome.betas == 0
-    outcome, _ = evaluate(omega, "krivine", 1000)
-    assert isinstance(outcome, FuelExhausted)
-    for engine in HEAD_ENGINE_NAMES:
-        for term in (omega, guarded):
-            outcome, _ = evaluate(term, engine, 1000)
-            assert isinstance(outcome, FuelExhausted), (engine, term)
+    for engine in WH_ENGINE_NAMES:
+        outcome, _ = evaluate(guarded, engine, 1000)
+        assert isinstance(outcome, Normal) and outcome.betas == 0, engine
+    for engine in HEAD_ENGINE_NAMES + ("control-proj",):
+        outcome, _ = evaluate(guarded, engine, 1000)
+        assert isinstance(outcome, FuelExhausted), engine
+    # control-krivine stops at the guarding lambda, as a weak-head machine
+    # does, and is stuck there on the empty top-level context.
+    outcome, _ = evaluate(guarded, "control-krivine", 1000)
+    assert isinstance(outcome, Stuck)
+    for engine in engine_names():
+        outcome, _ = evaluate(omega, engine, 1000)
+        assert isinstance(outcome, FuelExhausted), engine
     print("ACCEPTANCE 4 PASS: weak-head stops at the guarding lambda, head engines never finish")
 
 

@@ -373,10 +373,12 @@ def spy_repeats(monkeypatch, module):
     return found
 
 
-# The rows whose guard runs repeat exactly: every stepping row without
-# `chain`.  The env rows' runs grow renaming chains instead, and
+# The rows whose guard runs repeat exactly: every stepping row but the
+# environment machines.  Their runs grow renaming chains instead, and
 # tests/test_envmachine.py checks their period jump.
-CYCLE_ROWS = tuple(n for n, e in ENGINES.items() if e.step is not None and e.chain is None)
+CYCLE_ROWS = tuple(
+    n for n, e in ENGINES.items() if e.step is not None and not isinstance(e.load(Var("x")), envmachine.ECommand)
+)
 # Its states repeat every 3 betas, after one to three betas that do not.
 PERIOD_3_TERM = r"(\x.x x) (\x.x) (\x.x x) ((\x.x) ((\x.x) (\x.x x)))"
 
@@ -552,7 +554,7 @@ class TestReadbackDriver:
     def test_driver_rejects_a_leftover_atom(self, engine, step_fn, state, rule):
         events = []
         with pytest.raises(IllegalStateError):
-            _machine_readback(step_fn, print_state)(state, lambda *event: events.append(event), None)
+            _machine_readback(step_fn, state, lambda *event: events.append(event), None)
         assert [r for r, _ in events] == [rule]
 
     @pytest.mark.parametrize(
@@ -567,7 +569,7 @@ class TestReadbackDriver:
     )
     def test_engine_readback_rejects_a_leftover_atom(self, engine, state):
         with pytest.raises(IllegalStateError):
-            get_engine(engine).readback(state, lambda rule, rendering: None, None)
+            get_engine(engine).readback(state, lambda rule, s: None, None)
 
     def test_a_big_step_result_goes_through_the_driver(self, monkeypatch):
         illegal = dataclasses.replace(ENGINES["sestoft"], bigstep=lambda t, meter, log: Proj(0))
@@ -582,11 +584,48 @@ class TestReadbackDriver:
     def test_legal_state_reads_back_and_emits_done(self):
         events = []
         state = weakhead.PCommand(Proj(0), weakhead.PStuck(1))
-        result = _machine_readback(projection.proj_readback_step, print_state)(
-            state, lambda *event: events.append(event), None
-        )
+        result = _machine_readback(projection.proj_readback_step, state, lambda *event: events.append(event), None)
         assert result == T(r"\x.x")
-        assert events == [("lambda", r"<\x.x || tp>"), ("done", r"\x.x")]
+        assert [(rule, print_state(s)) for rule, s in events] == [("lambda", r"<\x.x || tp>"), ("done", r"\x.x")]
+
+    # Every row reads back at least two of these; control-krivine is stuck
+    # on the closed ones.
+    PROBES = (r"\x.(\y.y) x", r"x (\y.y) z", r"\f x.f (f x)", r"y ((\x.\z.x) (\w.w))")
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_readback_events_are_the_rows_render(self, monkeypatch, name):
+        row = ENGINES[name]
+        passed = []
+
+        def readback(state, emit, budget):
+            def spy(rule, s):
+                passed.append((rule, s))
+                emit(rule, s)
+
+            return row.readback(state, spy, budget)
+
+        monkeypatch.setitem(ENGINES, name, dataclasses.replace(row, readback=readback))
+        read = 0
+        for probe in self.PROBES:
+            passed.clear()
+            _, trace = evaluate(T(probe), name, 100, trace=True)
+            events = [(e.rule, e.state) for e in trace.events if e.phase == "readback"]
+            assert events == [(rule, row.render(s)) for rule, s in passed], (name, probe)
+            read += bool(events)
+        assert read >= 2
+
+
+class TestCoalescedRows:
+    """Coalescing only changes how states print: each coalesced row is its
+    base row with another name, description and render."""
+
+    @pytest.mark.parametrize("coalesced, base", [("head-coalesced", "head-proj"), ("head-debruijn", "head-os-derived")])
+    def test_a_coalesced_row_is_its_base_row_reprinted(self, coalesced, base):
+        assert ENGINES[coalesced].render is not print_state
+        reprinted = dataclasses.replace(
+            ENGINES[coalesced], name=base, description=ENGINES[base].description, render=print_state
+        )
+        assert reprinted == ENGINES[base]
 
 
 class TestCaptureRenaming:

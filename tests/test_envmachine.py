@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from headlab import engines, fuel
+from headlab import engines, envmachine, fuel
 from headlab.envmachine import (
     Binding,
     Closure,
@@ -185,13 +185,14 @@ class TestChainJump:
 
     @pytest.mark.parametrize("name", ENV_ENGINES)
     def test_guard_terms_match_the_stepping_row(self, corpus120, monkeypatch, name):
-        # Without `chain` the untraced loop steps every lookup, as a traced
-        # run does, minus the renders.  The meter checks every period it
-        # would skip with `same_tree`, an exact repeat as well as a grown
-        # renaming chain (TestPeriodJump); the patched comparison passes
-        # none, so the reference steps every period too.
+        # With a chain jump that takes no lookup, the untraced loop steps
+        # every lookup, as a traced run does, minus the renders.  The meter
+        # checks every period it would skip with `same_tree`, an exact
+        # repeat as well as a grown renaming chain (TestPeriodJump); the
+        # patched comparison passes none, so the reference steps every
+        # period too.
         jumped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
-        monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=None))
+        monkeypatch.setattr(envmachine, "env_lookups", lambda state, limit: (0, state))
         monkeypatch.setattr(fuel, "same_tree", lambda a, b: False)
         stepped = [evaluate(corpus120[i], name, CORPUS_FUEL)[0] for i in GUARD_INDICES]
         assert jumped == stepped
@@ -206,7 +207,7 @@ class TestChainJump:
             jumps.append((n, limit, state))
             return n, state
 
-        monkeypatch.setitem(engines.ENGINES, name, dataclasses.replace(engines.ENGINES[name], chain=spy))
+        monkeypatch.setattr(envmachine, "env_lookups", spy)
         term, cut_inside = T(GUARD_TERM), None
         for cap in range(1, 401):
             monkeypatch.setattr(engines, "MAX_TOTAL_WORK", cap)
@@ -219,6 +220,20 @@ class TestChainJump:
                 cut_inside = cap
         # Some caps do fall inside a chain: the jump stopped on a bound variable.
         assert cut_inside
+
+    def test_only_untraced_env_runs_jump(self, monkeypatch):
+        calls = []
+
+        def spy(state, limit):
+            calls.append(limit)
+            return env_lookups(state, limit)
+
+        monkeypatch.setattr(envmachine, "env_lookups", spy)
+        for name in engines.ENGINES:
+            for trace in (False, True):
+                calls.clear()
+                evaluate(T(GUARD_TERM), name, 20, trace=trace)
+                assert bool(calls) == (name in ENV_ENGINES and not trace), (name, trace)
 
     @pytest.mark.parametrize("step_fn", [env_krivine_step, env_head_step])
     def test_env_lookups_equals_single_lookups(self, corpus120, step_fn):
