@@ -143,7 +143,12 @@ def free_names(n: Union[CTerm, CCoTerm, CCommand]) -> Names:
             fv, fc = free_names(n.body)
             names = fv - {n.binder}, fc - {n.cobinder}
         else:
-            (fv, fc), (fv2, fc2) = (free_names(getattr(n, field)) for field in cls.__match_args__)
+            if cls is CApp:
+                (fv, fc), (fv2, fc2) = free_names(n.fun), free_names(n.arg)
+            elif cls is CPush:
+                (fv, fc), (fv2, fc2) = free_names(n.arg), free_names(n.rest)
+            else:
+                (fv, fc), (fv2, fc2) = free_names(n.term), free_names(n.coterm)
             names = fv | fv2, fc | fc2
         cls._fn.__set__(n, names)
     return names

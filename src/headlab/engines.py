@@ -8,7 +8,10 @@ readback driver, `_machine_readback`: it applies a machine's readback
 step until that says ("done", term), and it refuses a term that still
 holds a projection or an index.  It hands each state it passes to an
 `emit`, and `evaluate` prints every event, load, reduce and readback,
-with the row's `render`.
+with the row's `render`.  Untraced, the projection machine's and the
+index form's readbacks skip the steps for their one-pass forms, which
+build the same term.  `compare` checks a group by one alpha-key per
+result, and the control rows share the state of the last term loaded.
 
 Fuel is counted in beta contractions for every engine, because that is
 the one cost unit all of them share; the non-beta transitions between
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Optional, Union
 from . import control, envmachine, headsimple, projection, weakhead
 from .fuel import FuelMeter, OutOfFuel
 from .pretty import print_state, print_term
-from .syntax import IllegalStateError, Node, Term, alpha_eq, is_pure, term_metrics
+from .syntax import IllegalStateError, Node, Term, _nameless, alpha_eq, is_pure, term_metrics
 
 __all__ = [
     "Normal",
@@ -131,29 +134,36 @@ def _done(t: Term) -> tuple[str, Term]:
     return "done", t
 
 
-def _machine_readback(step_fn, state, emit: Optional[Emit], budget: Optional[int]) -> Term:
+def _machine_readback(step_fn, state, emit: Optional[Emit], budget: Optional[int], whole=None) -> Term:
     """The one readback driver: apply `step_fn` until it says ("done", term).
 
     The term must be pure: a Proj or Index left in it means the run reached
     an illegal state, and that raises IllegalStateError.  Every state after
-    a step, and the term at "done", goes to `emit` when there is one.  A row
-    binds its step with `partial`; `budget` is unused here, and is in the
-    signature because the environment rows' readback forces under it.
+    a step, and the term at "done", goes to `emit` when there is one.
+    Untraced, a step with a one-pass form `whole`, which returns the term
+    the steps end in and whether it is pure, is not stepped.  A row binds
+    its step (and `whole`) with `partial`; `budget` is unused here, and is
+    in the signature because the environment rows' readback forces under it.
     """
-    while True:
-        rule, nxt = step_fn(state)
-        if rule == "done":
-            if not is_pure(nxt):
-                raise IllegalStateError(f"projection or index survived readback: {print_term(nxt)}")
+    if emit is None and whole is not None:
+        term, pure = whole(state)
+    else:
+        while True:
+            rule, term = step_fn(state)
+            if rule == "done":
+                break
+            state = term
             if emit is not None:
-                emit("done", nxt)
-            return nxt
-        state = nxt
-        if emit is not None:
-            emit(rule, state)
+                emit(rule, state)
+        pure = is_pure(term)
+    if not pure:
+        raise IllegalStateError(f"projection or index survived readback: {print_term(term)}")
+    if emit is not None:
+        emit("done", term)
+    return term
 
 
-_proj_readback = partial(_machine_readback, projection.proj_readback_step)
+_proj_readback = partial(_machine_readback, projection.proj_readback_step, whole=projection.proj_readback)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -224,8 +234,20 @@ def _env_readback(c: envmachine.ECommand, emit: Optional[Emit], budget: Optional
     return _proj_readback(envmachine.as_forced_command(c, budget), emit, budget)
 
 
+# The last term a control row loaded and its state, one tuple so that a
+# thread reads both or neither: the two control rows of one `compare` load
+# one term object, so the second reuses the first's embedding and the
+# free-name memos its run filled.
+_control_loaded: tuple = (None, None)
+
+
 def _control_load(t: Term) -> control.CCommand:
-    return control.control_load(control.embed_term(t))
+    global _control_loaded
+    term, state = _control_loaded
+    if term is not t:
+        state = control.control_load(control.embed_term(t))
+        _control_loaded = t, state
+    return state
 
 
 def _control_readback(c: control.CCommand, emit: Optional[Emit], budget: Optional[int]) -> Term:
@@ -310,7 +332,7 @@ _ROWS = (
         description="index-form small-step head reduction with an anonymous binder prefix",
         load=partial(projection.TopTerm, 0),
         step=projection.derived_step,
-        readback=partial(_machine_readback, projection.derived_readback_step),
+        readback=partial(_machine_readback, projection.derived_readback_step, whole=projection.derived_readback),
     ),
     replace(
         _head_proj,
@@ -522,8 +544,11 @@ class CompareReport(Node):
 
 def _group_agrees(outcomes: list[Outcome]) -> bool:
     if all(isinstance(o, Normal) for o in outcomes):
+        # Alpha-equal results have equal locally nameless keys, so each
+        # result is walked once.
         first = outcomes[0]
-        return all(o.betas == first.betas and alpha_eq(first.result, o.result) for o in outcomes[1:])
+        key = _nameless(first.result, ())
+        return all(o.betas == first.betas and _nameless(o.result, ()) == key for o in outcomes[1:])
     return all(isinstance(o, FuelExhausted) for o in outcomes)
 
 
@@ -533,7 +558,8 @@ def compare(term: Term, engines: Iterable[str], fuel: Optional[int] = None) -> C
     Engines of one strategy must reach alpha-equivalent results in the
     same number of betas (or agree to run out of fuel); the weak-head and
     head groups may legitimately differ from each other, which is
-    reported but is not a disagreement.
+    reported but is not a disagreement.  A group is checked by one
+    alpha-key per result (`syntax._nameless`).
     """
     budget = resolve_fuel(fuel)
     results = []

@@ -7,8 +7,11 @@ previously built closure might share.  The head variant is the Krivine
 variant's rules (lookup, push, bind) plus the projection machine's
 `project`, which binds the variable of a lambda facing a stuck co-term to
 a projection closure.  Both load the same state.  Results are recovered
-by forcing: recursively substituting environment bindings back into the
-term, which gives a projection-machine state.
+by forcing: substituting environment bindings back into the term, which
+gives a projection-machine state.  Forcing names the bound variable of
+each lambda from the names of its forced body, collected bottom-up, so
+it walks the result once and then renames it once, however deep the
+lambdas nest.
 
 A variable can be bound to a closure whose term is again a variable, and
 such renaming chains grow by a link per beta on some diverging terms, so a
@@ -18,7 +21,8 @@ closure it then focuses.  Closures and environments are immutable, so the
 pair depends only on the closure and filling it is an idempotent cache, as
 the term nodes' free-variable memos are.  `env_lookups` takes a whole chain
 in one jump for an untraced run, and `force` jumps it instead of recursing
-once per link.
+once per link.  A period jump (below) fills the memo of every link it
+stacks, so the first lookup after it does not walk them again.
 
 Such a run does not repeat: each period adds a link to a chain.  But an
 untraced run reads a chain only as (hops, end), so the periods repeat up to
@@ -33,7 +37,7 @@ import itertools
 from typing import Optional, Union
 
 from .fuel import repeat
-from .syntax import App, Lam, Node, Proj, Term, Var, all_names, fresh, split_stack, subst
+from .syntax import App, Lam, Node, Proj, Term, Var, fresh, split_stack
 from .weakhead import TOP, PCommand, PPush, PStuck, PCoTerm
 
 __all__ = [
@@ -228,9 +232,14 @@ def period_template(mark: ECommand, now: ECommand, nodes: int) -> tuple:
             for field in path:
                 spine.append(getattr(spine[-1], field))
             node = spine.pop()
+            # Each link looks up the closure below it, so its chain memo is
+            # that closure's, one hop longer: fill it as the link is built.
+            hops, end = _chain_of(node)
             for _ in range(k):
                 for term in reversed(links):
                     node = Closure(term, Binding(term.name, node, None))
+                    hops += 1
+                    _closure_chain(node, (hops, end))
             # Rebuild the ancestors once, around the stacked closure.
             for field in reversed(path):
                 parent = spine.pop()
@@ -307,13 +316,18 @@ def env_head_halt(c: ECommand) -> tuple[str, str]:
 def force(closure: Closure, max_nodes: Optional[int] = None) -> Term:
     """Materialize a closure as a term with no environment-bound variables.
 
-    Under a binder the bound name is mapped to a unique marker first, the
-    body is forced, and then the marker is renamed to a binder that cannot
-    capture anything the forcing introduced.  Cyclic environments cannot
-    be built with these constructors, so forcing terminates; the optional
-    budget guards against materializing enormous results.
+    Under a binder the bound name is mapped to a unique marker first and
+    the body is forced.  The binder then takes the first of its own name,
+    name1, name2, ... that no name of the forced body is, the marker aside,
+    so it cannot capture anything the forcing introduced.  Each body's
+    names, with the names its binders took, are collected bottom-up as it
+    is forced, and one final walk renames every marker.  Cyclic
+    environments cannot be built with these constructors, so forcing
+    terminates; the optional budget guards against materializing
+    enormous results.
     """
     markers = itertools.count()
+    taken: dict[str, str] = {}  # marker -> the name its binder took
     produced = [0]
 
     def note(nodes: int = 1) -> None:
@@ -321,30 +335,50 @@ def force(closure: Closure, max_nodes: Optional[int] = None) -> Term:
         if max_nodes is not None and produced[0] > max_nodes:
             raise ForceBudgetExceeded()
 
-    def go(t: Term, env: Env) -> Term:
+    # The forced term, with markers for the binders' names, and its names.
+    # Every call returns a set of its own, which its caller may grow.
+    def go(t: Term, env: Env) -> tuple[Term, set[str]]:
         note()
         match t:
             case Var(name):
                 found = env_lookup(env, name)
                 if found is None:
-                    return t
+                    return t, {name}
                 # Jump the lookup chain, charging each variable it skips as
                 # one node, as stepping through them one call each would.
                 hops, end = _chain_of(found)
                 note(hops)
                 return go(end.term, end.env)
             case App(fun, arg):
-                return App(go(fun, env), go(arg, env))
+                (fun, names), (arg, more) = go(fun, env), go(arg, env)
+                if len(names) < len(more):
+                    names, more = more, names
+                names |= more
+                return App(fun, arg), names
             case Lam(binder, body):
                 marker = f"%{next(markers)}"
                 shadowed = Binding(binder, Closure(Var(marker), None), env)
-                forced = go(body, shadowed)
-                name = fresh(all_names(forced) - {marker}, binder)
-                return Lam(name, subst(forced, marker, Var(name)))
+                body, names = go(body, shadowed)
+                names.discard(marker)
+                taken[marker] = name = fresh(names, binder)
+                names.add(name)
+                return Lam(marker, body), names
+            case _:
+                return t, set()
+
+    def rename(t: Term) -> Term:
+        match t:
+            case Var(name) if name in taken:
+                return Var(taken[name])
+            case App(fun, arg):
+                return App(rename(fun), rename(arg))
+            case Lam(marker, body):
+                return Lam(taken[marker], rename(body))
             case _:
                 return t
 
-    return go(closure.term, closure.env)
+    forced, _ = go(closure.term, closure.env)
+    return rename(forced) if taken else forced
 
 
 def as_forced_command(c: ECommand, max_nodes: Optional[int] = None) -> PCommand:

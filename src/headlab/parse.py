@@ -39,20 +39,26 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(src: str) -> list[tuple[str, str, SourceSpan]]:
+def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, start, end) of every token; a span is built only for
+    an error."""
     tokens = []
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
-        span = SourceSpan(m.start(kind), m.end(kind))
         if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", span)
-        tokens.append((kind, m[kind], span))
+            raise ParseError(f"unexpected character {m[kind]!r}", SourceSpan(*m.span(kind)))
+        tokens.append((kind, m[kind], *m.span(kind)))
     return tokens
 
 
-def _name(text: str, span: SourceSpan) -> str:
+def _error(message: str, token: tuple[str, str, int, int]) -> ParseError:
+    return ParseError(message, SourceSpan(token[2], token[3]))
+
+
+def _name(token: tuple[str, str, int, int]) -> str:
+    text = token[1]
     if text in RESERVED_NAMES:
-        raise ParseError(f"{text!r} is a reserved machine token", span)
+        raise _error(f"{text!r} is a reserved machine token", token)
     return text
 
 
@@ -67,28 +73,28 @@ def parse_term(src: str) -> Term:
     spine: list[Term] = []
     i = 0
     while True:
-        kind, text, span = tokens[i]
+        kind, text, _, _ = token = tokens[i]
         i += 1
         if kind == "ident":
-            spine.append(Var(_name(text, span)))
+            spine.append(Var(_name(token)))
         elif text == "(":
             stack.append((opener, spine))
             opener, spine = "(", []
         elif kind == "lam":
             binders = []
             while tokens[i][0] == "ident":
-                binders.append(_name(tokens[i][1], tokens[i][2]))
+                binders.append(_name(tokens[i]))
                 i += 1
             if not binders:
-                raise ParseError("expected an identifier", tokens[i][2])
+                raise _error("expected an identifier", tokens[i])
             if tokens[i][1] != ".":
-                raise ParseError("expected '.' after binders", tokens[i][2])
+                raise _error("expected '.' after binders", tokens[i])
             i += 1
             stack.append((opener, spine))
             opener, spine = binders, []
         else:  # ")", "." or the end close the lambdas they end, then their own group
             if not spine:
-                raise ParseError("expected a term", span)
+                raise _error("expected a term", token)
             while True:
                 term = reduce(App, spine)
                 if not isinstance(opener, list):
@@ -99,9 +105,9 @@ def parse_term(src: str) -> Term:
                 spine.append(term)
             if opener is None:
                 if kind != "end":
-                    raise ParseError("unexpected trailing input", span)
+                    raise _error("unexpected trailing input", token)
                 return term
             if text != ")":
-                raise ParseError("expected ')'", span)
+                raise _error("expected ')'", token)
             opener, spine = stack.pop()
             spine.append(term)

@@ -23,8 +23,14 @@ Each artifact has a readback step that ends in ("done", term); the
 engines' one driver (`engines._machine_readback`) runs it to the end and
 checks that no projection or index is left.  The stack machine's step is
 the readback of head-proj, head-coalesced, both environment machines
-and both control machines.  `translate_star` runs the
-index form's readback on its own, because it is the paper's translation.
+and both control machines.  Each step names one binder against every
+name of the term it wraps, so stepping costs a walk of the term per
+binder.  An untraced run takes the same moves in one pass instead
+(`proj_readback`, `derived_readback`): every binder is named against one
+name set and one walk (`syntax.bind_atoms`) binds every atom and finds
+any that is left.  A traced run steps every move, since each is an
+event.  `translate_star` runs the index form's readback on its own,
+because it is the paper's translation.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .syntax import (
+    App,
     IllegalStateError,
     Index,
     Lam,
@@ -41,6 +48,7 @@ from .syntax import (
     Var,
     all_names,
     atoms,
+    bind_atoms,
     canonical_binder,
     fresh,
     is_pure,
@@ -54,10 +62,12 @@ __all__ = [
     "proj_step",
     "proj_terminal",
     "proj_readback_step",
+    "proj_readback",
     "is_legal_proj",
     "TopTerm",
     "derived_step",
     "derived_readback_step",
+    "derived_readback",
     "is_legal_top",
     "translate_star",
     "translate_hash",
@@ -95,6 +105,17 @@ def proj_readback_step(c: PCommand) -> tuple[str, Union[PCommand, Term]]:
             return "lambda", PCommand(Lam(x, body), PStuck(depth - 1))
         case _:
             return krivine_readback_step(c)
+
+
+def proj_readback(c: PCommand) -> tuple[Term, bool]:
+    """Where `proj_readback_step`'s moves take `c`, in one pass: the pops
+    plug the stacked arguments back on, then one `lambda` per dropped
+    frame binds its projection.  Returns the term and whether it is pure."""
+    args, stuck = split_stack(c.coterm, PPush)
+    t = c.term
+    for arg in args:
+        t = App(t, arg)
+    return bind_atoms(t, stuck.depth, Proj)
 
 
 def is_legal_proj(c: PCommand) -> bool:
@@ -146,6 +167,12 @@ def derived_readback_step(t: TopTerm) -> tuple[str, Union[TopTerm, Term]]:
     k = t.binders - 1
     x = fresh(all_names(t.body), canonical_binder(k))
     return "name", TopTerm(k, Lam(x, replace_atom(t.body, Index(k), x)))
+
+
+def derived_readback(t: TopTerm) -> tuple[Term, bool]:
+    """Where `derived_readback_step`'s moves take `t`, in one pass: one
+    `name` per anonymous binder.  Returns the term and whether it is pure."""
+    return bind_atoms(t.body, t.binders, Index)
 
 
 def translate_star(t: TopTerm) -> Term:

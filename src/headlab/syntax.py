@@ -52,6 +52,7 @@ __all__ = [
     "classify",
     "is_pure",
     "replace_atom",
+    "bind_atoms",
     "atoms",
     "nodes",
     "same_tree",
@@ -423,6 +424,51 @@ def replace_atom(t: Term, atom: Union[Proj, Index], x: str) -> Term:
             return Lam(binder, replace_atom(body, atom, x))
         case _:
             return Var(x) if t == atom else t
+
+
+def bind_atoms(t: Term, depth: int, kind: type) -> tuple[Term, bool]:
+    """Wrap t in `depth` lambdas, the k-th from the outside binding every
+    `kind(k)` atom in t: the term that `depth` readback moves of the
+    projection machine (kind Proj) or of the index form (Index) build, one
+    replace_atom per move, made by one walk.
+
+    Each move names its binder against every name of the term it wraps,
+    which is t's names and the binders the deeper moves chose, so depth k
+    gets fresh(all_names(t) ∪ {binders of depths > k}, canonical_binder(k)).
+    Returns the term and whether it is pure: any other Proj or Index stays.
+    At depth 0 nothing is bound and the check is is_pure's loop, which no
+    depth overflows.
+    """
+    if not depth:
+        return t, is_pure(t)
+    avoid = set(all_names(t))
+    names = [""] * depth
+    for k in range(depth - 1, -1, -1):
+        names[k] = x = fresh(avoid, canonical_binder(k))
+        avoid.add(x)
+    bound = [Var(x) for x in names]
+    field = kind.__match_args__[0]
+    pure = True
+
+    def go(t: Term) -> Term:
+        nonlocal pure
+        cls = type(t)
+        if cls is App:
+            fun, arg = go(t.fun), go(t.arg)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg)
+        if cls is Lam:
+            body = go(t.body)
+            return t if body is t.body else Lam(t.binder, body)
+        if cls is kind and getattr(t, field) < depth:
+            return bound[getattr(t, field)]
+        if cls is not Var:
+            pure = False
+        return t
+
+    t = go(t)
+    for x in reversed(names):
+        t = Lam(x, t)
+    return t, pure
 
 
 def atoms(t, kind: type) -> frozenset:

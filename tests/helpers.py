@@ -2,23 +2,29 @@
 
 The oracles and generators are deliberately written from scratch against
 the definitions rather than by calling the code under test, so the tests
-that use them are actual cross-checks.  The last two sections drive the
-code under test: `read_back` runs the engines' readback driver, and the
-fingerprints digest what the engines return.
+that use them are actual cross-checks.  `force_per_binder` is the one
+exception: it is the earlier form of `envmachine.force`, which named each
+binder by walking the forced body, kept as the oracle of the one-pass
+form.  The last two sections drive the code under test: `read_back` runs
+the engines' readback driver, and the fingerprints digest what the
+engines return.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+from functools import lru_cache
 
 from headlab.control import CApp, Case, CCommand, CoVar, CPush, CStuckCo, Mu
 from headlab.engines import _machine_readback
+from headlab.envmachine import Binding, Closure, ForceBudgetExceeded, _chain_of, env_lookup
 from headlab.headsimple import HStuck
 from headlab.pretty import print_term
 from headlab.projection import TopTerm
-from headlab.syntax import App, Index, Lam, Proj, Term, Var
+from headlab.syntax import App, Index, Lam, Proj, Term, Var, all_names, fresh, subst
 from headlab.weakhead import PCommand, PPush
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,63 @@ def peel(t: Term, rng: random.Random) -> tuple[Term, list[str]]:
         names.append(t.binder)
         t = t.body
     return t, names
+
+
+# ---------------------------------------------------------------------------
+# Every closed term up to a size, for exhaustive checks.
+
+
+@lru_cache(maxsize=None)
+def closed_terms(size: int, binders: tuple[str, ...] = ("x", "y"), scope: frozenset = frozenset()) -> tuple:
+    """Every term of exactly `size` nodes whose binders are drawn from
+    `binders` and whose variables are all in `scope` or bound."""
+    out: list[Term] = [Var(name) for name in sorted(scope)] if size == 1 else []
+    if size >= 2:
+        for b in binders:
+            out += [Lam(b, body) for body in closed_terms(size - 1, binders, scope | {b})]
+    for left in range(1, size - 1):
+        for fun in closed_terms(left, binders, scope):
+            out += [App(fun, arg) for arg in closed_terms(size - 1 - left, binders, scope)]
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The earlier `envmachine.force`, the oracle of the one-pass form: each
+# binder is named by walking its forced body (`all_names`), and its marker
+# is substituted away at once (`subst`).
+
+
+def force_per_binder(closure: Closure, max_nodes: int | None = None) -> Term:
+    markers = itertools.count()
+    produced = [0]
+
+    def note(nodes: int = 1) -> None:
+        produced[0] += nodes
+        if max_nodes is not None and produced[0] > max_nodes:
+            raise ForceBudgetExceeded()
+
+    def go(t: Term, env) -> Term:
+        note()
+        match t:
+            case Var(name):
+                found = env_lookup(env, name)
+                if found is None:
+                    return t
+                hops, end = _chain_of(found)
+                note(hops)
+                return go(end.term, end.env)
+            case App(fun, arg):
+                return App(go(fun, env), go(arg, env))
+            case Lam(binder, body):
+                marker = f"%{next(markers)}"
+                shadowed = Binding(binder, Closure(Var(marker), None), env)
+                forced = go(body, shadowed)
+                name = fresh(all_names(forced) - {marker}, binder)
+                return Lam(name, subst(forced, marker, Var(name)))
+            case _:
+                return t
+
+    return go(closure.term, closure.env)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ MUTANTS = (
     ),
     (
         "engines.py",
-        "            if not is_pure(nxt):",
-        "            if False:",
+        "    if not pure:",
+        "    if False:",
         "the readback driver lets a projection or an index through",
     ),
     (
@@ -107,10 +107,10 @@ MUTANTS = (
         "an environment machine's bind does not count as a beta",
     ),
     (
-        "projection.py",
-        "body = replace_atom(c.term, Proj(depth - 1), x)",
-        "body = replace_atom(c.term, Proj(0), x)",
-        "projection readback binds Proj(0) instead of the deepest projection",
+        "syntax.py",
+        "            return bound[getattr(t, field)]",
+        "            return bound[0]",
+        "one-pass readback binds every projection or index to the outermost binder",
     ),
     (
         "headsimple.py",
@@ -120,9 +120,33 @@ MUTANTS = (
     ),
     (
         "envmachine.py",
-        "name = fresh(all_names(forced) - {marker}, binder)",
-        "name = binder",
+        "taken[marker] = name = fresh(names, binder)",
+        "taken[marker] = name = binder",
         "force keeps the binder's name, which can capture",
+    ),
+    (
+        "syntax.py",
+        "        names[k] = x = fresh(avoid, canonical_binder(k))\n        avoid.add(x)",
+        "        names[k] = x = fresh(avoid, canonical_binder(k))",
+        "one-pass readback names each binder without the names chosen for deeper binders",
+    ),
+    (
+        "syntax.py",
+        '            return ("f", name)',
+        '            return ("f",)',
+        "the alpha-key ignores free names",
+    ),
+    (
+        "engines.py",
+        "    if term is not t:",
+        "    if term is None:",
+        "the control load cache returns its state for any term",
+    ),
+    (
+        "syntax.py",
+        "    if not depth:\n        return t, is_pure(t)\n",
+        "",
+        "one-pass readback walks the term recursively with no binder to name",
     ),
 )
 

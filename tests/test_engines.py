@@ -39,7 +39,7 @@ from headlab.parse import parse_term
 from headlab.pretty import print_state
 from headlab.syntax import App, IllegalStateError, Index, Lam, Proj, Var, alpha_eq, free_vars, fresh, term_metrics
 from conftest import CORPUS_FUEL
-from helpers import GUARD_INDICES, GUARD_TERM, golden_entry, plugged_measures
+from helpers import GUARD_INDICES, GUARD_TERM, TRACE_FUEL, closed_terms, golden_entry, plugged_measures
 
 
 def T(src):
@@ -343,6 +343,27 @@ class TestDeepTerms:
         assert [type(o) for o in outcomes] == [Normal, Normal]
         assert [o.result for o in outcomes] == [nest, spine]
 
+    # These rows' readback recurses on a binder nest, but a spine of
+    # stacked arguments has no binder to name and is checked by a loop.
+    @pytest.mark.parametrize(
+        "name", ["head-proj", "head-coalesced", "head-os-derived", "head-debruijn", "env-krivine", "env-head"]
+    )
+    def test_deep_spine_normalizes(self, name):
+        spine = Var("y")
+        for _ in range(self.DEPTH):
+            spine = App(spine, Var("y"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            outcome = evaluate(spine, name, 100)[0]
+        except RecursionError:
+            # Fail on a short report: pytest compares the locals of the
+            # failing frames, and each holds a part of the deep term.
+            outcome = "RecursionError"
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(outcome, Normal) and outcome.result == spine, outcome
+
     # The control rows are left out: embed_term recurses on the binder nest.
     @pytest.mark.parametrize("name", [n for n in engine_names() if n not in CONTROL_ENGINE_NAMES])
     def test_omega_under_600_binders_returns_an_outcome(self, name):
@@ -628,6 +649,95 @@ class TestCoalescedRows:
         assert reprinted == ENGINES[base]
 
 
+def nest(n, free=()):
+    """Item 1's closed nest \\x0 ... x(n-1). x0 x(n-1), applied to `free`."""
+    t = App(Var("x0"), Var(f"x{n - 1}"))
+    for i in reversed(range(n)):
+        t = Lam(f"x{i}", t)
+    for name in free:
+        t = App(t, Var(name))
+    return t
+
+
+# The rows whose untraced readback is one pass (syntax.bind_atoms).
+ONE_PASS_ROWS = (
+    "head-proj", "head-coalesced", "head-os-derived", "head-debruijn",
+    "env-krivine", "env-head", "control-krivine", "control-proj",
+)
+
+
+class TestOnePassReadback:
+    """Untraced, the projection machine's and the index form's readbacks
+    name every binder against one name set and bind every atom in one
+    walk; a traced run steps every move and is the reference, down to the
+    spelling of each binder."""
+
+    @staticmethod
+    def assert_untraced_is_traced(terms, fuel):
+        read = 0
+        for term in terms:
+            for name in ONE_PASS_ROWS:
+                untraced = evaluate(term, name, fuel)[0]
+                assert untraced == evaluate(term, name, fuel, trace=True)[0], (name, term)
+                read += isinstance(untraced, Normal)
+        return read
+
+    def test_the_rows_read_back_in_one_pass(self):
+        for name in ONE_PASS_ROWS:
+            readback = ENGINES[name].readback
+            if name.startswith(("env", "control")):
+                assert readback in (engines._env_readback, engines._control_readback)
+                readback = engines._proj_readback
+            assert readback.keywords["whole"] in (projection.proj_readback, projection.derived_readback), name
+
+    def test_corpus_applied_to_free_names(self, corpus120):
+        terms = [form for t in corpus120 for form in (t, App(t, Var("y")), App(App(t, Var("y")), Var("x")))]
+        assert self.assert_untraced_is_traced(terms, TRACE_FUEL) > 2_000
+
+    def test_every_small_closed_term_applied_to_x_and_y(self):
+        # Binders drawn from {x, y} meet the free x and y, so readback and
+        # forcing rename to avoid capture.
+        terms = [App(App(t, Var("x")), Var("y")) for size in range(1, 8) for t in closed_terms(size)]
+        assert len(terms) == 1_056
+        assert self.assert_untraced_is_traced(terms, 100) > 7_000
+
+    def test_deep_binders_avoid_the_names_chosen_below_them(self):
+        # Past 26 binders the canonical names repeat with a digit, so the
+        # free x pushes depth 0's binder past x1, which depth 26 took.
+        terms = [nest(n, free) for n in (27, 30, 60) for free in ((), ("x",), ("x", "x1"))]
+        outcome = evaluate(nest(30, ("x",)), "head-proj", 100)[0]
+        assert (outcome.result.binder, outcome.result.body.binder) == ("x2", "y")
+        self.assert_untraced_is_traced(terms, 100)
+
+    @pytest.mark.parametrize("name", ["head-proj", "head-os-derived"])
+    def test_a_leftover_atom_is_reported_untraced(self, name):
+        state = ENGINES[name].load(Var("x"))
+        illegal = weakhead.PCommand(Proj(5), weakhead.PStuck(1)) if name == "head-proj" else projection.TopTerm(1, Index(5))
+        with pytest.raises(IllegalStateError, match="survived readback"):
+            ENGINES[name].readback(illegal, None, None)
+        assert ENGINES[name].readback(state, None, None) == Var("x")
+
+    def test_item_1_nest_reads_back_in_one_walk(self, monkeypatch):
+        # Each readback move walked the whole term once, about 2.8 s a row
+        # at this size; untraced, no move is taken and one walk binds all.
+        def no_move(*args):
+            raise AssertionError("an untraced readback took a move")
+
+        walks = []
+        bind_atoms = projection.bind_atoms
+        monkeypatch.setattr(projection, "replace_atom", no_move)
+        monkeypatch.setattr(projection, "bind_atoms", lambda *args: walks.append(args) or bind_atoms(*args))
+        term = nest(2_000)
+        for name in ONE_PASS_ROWS:
+            if name == "control-krivine":  # stuck on a closed lambda
+                continue
+            walks.clear()
+            outcome = evaluate(term, name, CORPUS_FUEL)[0]
+            assert isinstance(outcome, Normal) and alpha_eq(outcome.result, term), name
+            # env-krivine stops at the outer lambda, and forcing names it.
+            assert [depth for _, depth, _ in walks] == [0 if name == "env-krivine" else 2_000], name
+
+
 class TestCaptureRenaming:
     """The corpus is closed, so no run on it takes the renaming branch of
     subst.  Applied to the free variables y and x, which its binder names
@@ -756,6 +866,119 @@ class TestCompare:
         # Runs that stop without a normal form still agree on any betas.
         assert _group_agrees([FuelExhausted("x", 5), FuelExhausted("y", 7, "work budget")])
         assert not _group_agrees([Normal(x, 4, 2), FuelExhausted("x", 2)])
+
+
+def pairwise_verdicts(report):
+    """The group verdicts and the cross-strategy difference of a report,
+    recomputed with pairwise alpha_eq."""
+    verdicts = {}
+    for strategy in ("weak-head", "head"):
+        outcomes = [r.outcome for r in report.results if r.strategy == strategy]
+        if all(isinstance(o, Normal) for o in outcomes):
+            verdicts[strategy] = all(
+                o.betas == outcomes[0].betas and alpha_eq(outcomes[0].result, o.result) for o in outcomes[1:]
+            )
+        else:
+            verdicts[strategy] = all(isinstance(o, FuelExhausted) for o in outcomes)
+    firsts = [
+        next((r.outcome.result for r in report.results if r.strategy == s and isinstance(r.outcome, Normal)), None)
+        for s in ("weak-head", "head")
+    ]
+    cross = None not in firsts and not alpha_eq(*firsts)
+    return verdicts, cross
+
+
+class TestAlphaKeys:
+    """`compare` checks a group by one alpha-key per result; pairwise
+    alpha_eq is the reference."""
+
+    def test_keys_give_the_pairwise_verdicts(self, corpus120):
+        crosses = 0
+        for term in corpus120:
+            for form in (term, App(term, Var("y"))):
+                report = compare(form, engine_names(), TRACE_FUEL)
+                assert (report.group_agreement, report.cross_strategy_difference) == pairwise_verdicts(report), form
+                crosses += report.cross_strategy_difference
+        assert crosses > 0
+
+    def test_free_names_tell_results_apart(self):
+        assert not _group_agrees([Normal(T("x y"), 1, 0), Normal(T("x z"), 1, 0)])
+        assert not _group_agrees([Normal(T(r"\a.a y"), 1, 0), Normal(T(r"\a.a z"), 1, 0)])
+        assert _group_agrees([Normal(T(r"\a.a y"), 1, 0), Normal(T(r"\b.b y"), 1, 0)])
+
+    def test_each_result_is_walked_once_per_check(self, monkeypatch):
+        walked = []
+        nameless, alpha_eq = engines._nameless, engines.alpha_eq
+        monkeypatch.setattr(engines, "_nameless", lambda t, env: walked.append(t) or nameless(t, env))
+        monkeypatch.setattr(engines, "alpha_eq", lambda a, b: walked.extend((a, b)) or alpha_eq(a, b))
+        report = compare(T(r"\x.(\y.y) x"), engine_names(), 100)
+        normals = [r for r in report.results if isinstance(r.outcome, Normal) and r.strategy != "control"]
+        # One walk per result for its group, and two for the cross check.
+        assert len(normals) == 13 and len(walked) == 15
+
+
+class TestControlLoadCache:
+    """The control rows load through a one-entry cache keyed by the term
+    object; a miss must load afresh, so every outcome is the one a freshly
+    parsed term gets."""
+
+    SOURCES = (r"x (\y.y) z", r"(\f x.f (f x)) (\y.y) w", r"y ((\x.\z.x) (\w.w))")
+
+    def uncached(self, monkeypatch):
+        """The outcome of each control row on each source, loaded with no
+        cache."""
+        with monkeypatch.context() as patch:
+            for name in CONTROL_ENGINE_NAMES:
+                load = lambda t: control.control_load(control.embed_term(t))  # noqa: E731
+                patch.setitem(ENGINES, name, dataclasses.replace(ENGINES[name], load=load))
+            return {
+                (name, i): evaluate(T(src), name, 100)[0]
+                for name in CONTROL_ENGINE_NAMES
+                for i, src in enumerate(self.SOURCES)
+            }
+
+    def test_an_equal_term_object_loads_afresh(self):
+        first, second = T(self.SOURCES[0]), T(self.SOURCES[0])
+        assert engines._control_load(first) is engines._control_load(first)
+        assert engines._control_load(second) == engines._control_load(first)
+        assert engines._control_load(second) is not engines._control_load(first)
+
+    def test_another_term_in_between(self, monkeypatch):
+        wanted = self.uncached(monkeypatch)
+        terms = [T(src) for src in self.SOURCES]
+        for name in CONTROL_ENGINE_NAMES:
+            for i, term in enumerate(terms):
+                evaluate(terms[i - 1], "control-krivine", 100)
+                assert evaluate(term, name, 100)[0] == wanted[name, i], (name, i)
+                assert evaluate(T(self.SOURCES[i]), name, 100)[0] == wanted[name, i], (name, i)
+
+    def test_threads_alternating_terms(self, monkeypatch):
+        import threading
+
+        wanted = self.uncached(monkeypatch)
+        terms = [T(src) for src in self.SOURCES]
+        wrong = []
+
+        def work(order):
+            for _ in range(60):
+                for i in order:
+                    for name in CONTROL_ENGINE_NAMES:
+                        if evaluate(terms[i], name, 100)[0] != wanted[name, i]:
+                            wrong.append((name, i))
+
+        orders = ((0, 1, 2), (2, 1, 0), (1, 2, 0), (0, 2, 1))  # more threads than cores
+        threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the cache's reads and writes
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def run_cli(args, stdin=None, monkeypatch=None, capsys=None):

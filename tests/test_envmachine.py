@@ -22,10 +22,10 @@ from headlab.envmachine import (
 )
 from headlab.engines import FuelExhausted, evaluate, Normal
 from headlab.parse import parse_term
-from headlab.syntax import App, Lam, Proj, Var, alpha_eq
+from headlab.syntax import App, Lam, Proj, Var, alpha_eq, nodes
 from headlab.weakhead import PStuck
 from conftest import CORPUS_FUEL
-from helpers import GUARD_INDICES, GUARD_TERM, TRACE_FUEL
+from helpers import GUARD_INDICES, GUARD_TERM, TRACE_FUEL, closed_terms, force_per_binder
 
 
 def T(src):
@@ -126,6 +126,70 @@ class TestForce:
         assert isinstance(forced, Lam)
         assert forced.binder != "x"
         assert forced == Lam(forced.binder, App(Var(forced.binder), Var("x")))
+
+
+def nodes_charged(force_fn, closure):
+    """The least budget under which `force_fn` forces `closure`."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            force_fn(closure, hi)
+            break
+        except ForceBudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # force_fn raises at lo and succeeds at hi
+        mid = (lo + hi) // 2
+        try:
+            force_fn(closure, mid)
+            hi = mid
+        except ForceBudgetExceeded:
+            lo = mid
+    return hi
+
+
+class TestForceOracle:
+    """`force` names each binder from name sets built bottom-up and renames
+    the markers in one final walk; the earlier form, which walked the
+    forced body at every binder, is the oracle for its terms and budget."""
+
+    @staticmethod
+    def check(monkeypatch, terms):
+        forced = []
+
+        def checked(closure, max_nodes=None):
+            expected = force_per_binder(closure)
+            assert force(closure) == expected
+            forced.append(closure)
+            return force(closure, max_nodes)
+
+        monkeypatch.setattr(envmachine, "force", checked)
+        for term in terms:
+            for name in ENV_ENGINES:
+                evaluate(term, name, 100)
+        monkeypatch.undo()
+        # The budget counts what it counted: the same least budget, on
+        # the closures with the most binders.
+        forced.sort(key=lambda c: -sum(type(n) is Lam for n in nodes(c.term)))
+        for closure in forced[:200]:
+            assert nodes_charged(force, closure) == nodes_charged(force_per_binder, closure)
+        return forced
+
+    def test_corpus_applied_to_free_names(self, corpus120, monkeypatch):
+        terms = [form for t in corpus120 for form in (t, App(t, Var("y")), App(App(t, Var("y")), Var("x")))]
+        assert len(self.check(monkeypatch, terms)) > 500
+
+    def test_every_small_closed_term_applied_to_x_and_y(self, monkeypatch):
+        terms = [App(App(t, Var("x")), Var("y")) for size in range(1, 8) for t in closed_terms(size)]
+        assert len(self.check(monkeypatch, terms)) > 2_000
+
+    def test_binders_that_capture(self):
+        # Each binder meets a forced name it would capture, and inner binders
+        # take names the outer ones must then avoid.
+        env = Binding("a", Closure(T("x x1 y"), None), Binding("b", Closure(T(r"\x.x"), None), None))
+        for src in (r"\x.a x", r"\x.\x1.a x x1", r"\x y.b (\x.a x y)", r"\y.\y.a y", r"\x.x (\x.x a)"):
+            closure = Closure(T(src), env)
+            assert force(closure) == force_per_binder(closure), src
+            assert nodes_charged(force, closure) == nodes_charged(force_per_binder, closure), src
 
 
 def renaming_chain(links):
@@ -358,6 +422,69 @@ class TestPeriodJump:
         assert not skipped(seen)
         no_period_jump(monkeypatch)
         assert jumped == evaluate(corpus1000[UNCOVERED], name, CORPUS_FUEL)[0]
+
+
+def closures(state) -> dict:
+    """Every closure reachable from `state`, by id, each visited once."""
+    seen, todo = {}, [state]
+    while todo:
+        node = todo.pop()
+        if node is None or id(node) in seen or not hasattr(type(node), "__match_args__"):
+            continue
+        seen[id(node)] = node
+        todo += [getattr(node, f) for f in type(node).__match_args__]
+    return {i: n for i, n in seen.items() if type(n) is Closure}
+
+
+def twin(c: Closure, copies: dict) -> Closure:
+    """A copy of `c` and of every closure its environment holds, with no
+    chain memo filled."""
+    if id(c) not in copies:
+        env, bindings = c.env, []
+        while env is not None:
+            bindings.append(env)
+            env = env.rest
+        for b in reversed(bindings):
+            env = Binding(b.name, twin(b.value, copies), env)
+        copies[id(c)] = Closure(c.term, env)
+    return copies[id(c)]
+
+
+class TestStackedChainMemo:
+    """A period jump stacks renaming links on a closure; each link's chain
+    memo is filled as it is built, so the first lookup after the jump does
+    not walk the links again."""
+
+    @staticmethod
+    def jumped():
+        """An Ω state after a bind, and that state grown by 1,000 periods."""
+        state, binds = env_krivine_load(T(OMEGA)), []
+        while len(binds) < 4:
+            rule, state = env_krivine_step(state)
+            if rule == "bind":
+                binds.append(state)
+        stack, _ = envmachine.period_template(binds[2], binds[3], 10**6)
+        return binds[3], stack(binds[3], 1_000)
+
+    def test_every_stacked_link_has_its_chain(self):
+        before, grown = self.jumped()
+        old = closures(before)
+        links = [c for i, c in closures(grown).items() if i not in old and c._chain is not None]
+        assert len(links) >= 1_000
+        for link in links:
+            hops, end = envmachine._chain_of(twin(link, {}))
+            assert link._chain[0] == hops and link._chain[1] == end
+
+    def test_the_first_lookup_after_a_jump_takes_one_step(self, monkeypatch):
+        _, grown = self.jumped()
+        calls = []
+        lookup = envmachine.env_lookup
+        monkeypatch.setattr(envmachine, "env_lookup", lambda env, name: calls.append(name) or lookup(env, name))
+        while not isinstance(grown.term, Var):
+            grown = env_krivine_step(grown)[1]
+        calls.clear()
+        hops, _ = env_lookups(grown, 10**6)
+        assert hops > 1_000 and len(calls) == 1
 
 
 # Ω grows one renaming link per beta under both env rows.

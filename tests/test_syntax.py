@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import headlab
-from headlab import engines, envmachine, headsimple, projection, syntax, weakhead
+from headlab import engines, headsimple, projection, syntax, weakhead
 from headlab.control import CApp, Case, CCommand, CoVar, CPush, CStuckCo, Mu
 from headlab.engines import (
     HEAD_ENGINE_NAMES,
@@ -156,7 +156,7 @@ class TestCachedMeasures:
             return result
 
         monkeypatch.setattr(engines, "MAX_STATE_NODES", 2_000)
-        for module in (weakhead, headsimple, projection, envmachine):
+        for module in (weakhead, headsimple, projection):
             assert module.subst is syntax.subst
             monkeypatch.setattr(module, "subst", checked_subst)
         for term in corpus120:
